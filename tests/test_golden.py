@@ -1,5 +1,9 @@
 """Golden-file checks for the two report formats.
 
+``report.kv`` pins the two baselines; ``learners.kv`` pins SLIM, WRMF and
+Multi-VAE on a tiny synthetic config so solver rewrites must keep their
+report values.
+
 Environment-version provenance lines are excluded from the comparison; full
 byte determinism within one environment is covered by the rerun tests.
 """
@@ -27,13 +31,17 @@ def strip_versions(text: str) -> list[str]:
     ]
 
 
-@pytest.fixture(scope="module")
-def experiment_outputs(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden_run")
-    with open(DATA / "golden_config.json", encoding="utf-8") as fh:
+def run_config(tmp_path_factory, name: str) -> Path:
+    out = tmp_path_factory.mktemp(name)
+    with open(DATA / f"{name}.json", encoding="utf-8") as fh:
         config = ExperimentConfig.from_dict(json.load(fh))
     run_experiment(config, out_dir=out)
     return out
+
+
+@pytest.fixture(scope="module")
+def experiment_outputs(tmp_path_factory):
+    return run_config(tmp_path_factory, "golden_config")
 
 
 def test_report_kv_matches_golden(experiment_outputs):
@@ -45,6 +53,13 @@ def test_report_kv_matches_golden(experiment_outputs):
 def test_report_txt_matches_golden(experiment_outputs):
     got = strip_versions((experiment_outputs / "report.txt").read_text())
     want = strip_versions((DATA / "golden" / "report.txt").read_text())
+    assert got == want
+
+
+def test_learners_kv_matches_golden(tmp_path_factory):
+    out = run_config(tmp_path_factory, "golden_learners_config")
+    got = strip_versions((out / "report.kv").read_text())
+    want = strip_versions((DATA / "golden" / "learners.kv").read_text())
     assert got == want
 
 
