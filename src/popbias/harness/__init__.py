@@ -6,7 +6,6 @@ from .experiment import (
     GroupMetrics,
     ModelEvaluation,
     ModelSpec,
-    OracleModel,
     build_model,
     default_ap_k,
     emit_tail_plot_data,
@@ -31,7 +30,6 @@ __all__ = [
     "GroupMetrics",
     "ModelEvaluation",
     "ModelSpec",
-    "OracleModel",
     "SimulatedUserRecord",
     "build_model",
     "default_ap_k",

@@ -231,24 +231,6 @@ def build_model(name: str, hyperparams: dict, default_seed: int = 0) -> Recommen
         raise ValidationError(f"bad hyperparameters for {name!r}: {exc}") from exc
 
 
-class OracleModel(RecommenderModel):
-    """Test hook scoring each user's masked artists above everything else."""
-
-    model_type = "oracle"
-
-    def __init__(self, split: SplitDataset):
-        self._split = split
-        self.num_artists_ = split.train.num_artists
-
-    def fit(self, train: InteractionDataset):
-        return self
-
-    def score_user(self, user: int) -> np.ndarray:
-        scores = np.zeros(self.num_artists_)
-        scores[self._split.masked[user]] = 1.0
-        return scores
-
-
 @dataclass
 class GroupMetrics:
     """Per-(model, group) slice of the final report."""

@@ -5,12 +5,16 @@ Learns a sparse artist-by-artist weight matrix W minimizing
     0.5 * ||A - A W||^2_F  +  (l2/2) * ||W||^2_F  +  l1 * ||W||_1
 
 subject to diag(W) = 0 and optionally W >= 0, by cyclic coordinate descent on
-each column independently.  A user's scores are their train row times W.
+each column.  Columns are independent subproblems that each visit their
+coordinates in ascending order, so the solver sweeps coordinate-major: at
+coordinate i it updates every still-active column that has i as a candidate,
+in one vectorised step.  All state lives on the sparsity pattern of the gram
+G = A^T A, so memory is O(nnz(G)) on the non-negative path (the signed path
+visits every pair of artists with plays).  A user's scores are their train row
+times W.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,61 +24,105 @@ from ..errors import NumericalError, ValidationError
 from .base import RecommenderModel
 
 
-def _fit_column(gram, col_norms, j, l1, l2, non_negative, max_iters, tolerance, trace):
-    """Coordinate descent for one column of W; returns (indices, weights).
+def _candidate_pattern(gram, col_norms, non_negative):
+    """CSR ``(indptr, indices, values)`` of the coordinates i each column j
+    visits, with G[j, i] as the value; the diagonal is never a candidate.
 
-    ``gram`` is the dense symmetric matrix A^T A.  Coordinates are visited in
-    ascending artist index; convergence is max absolute coordinate change per
-    sweep below ``tolerance``.
+    Under non-negativity a coordinate that never co-occurs with the column has
+    optimum 0, so the pattern is that of G; the signed path visits every pair
+    of artists with plays.
     """
-    num_artists = gram.shape[0]
-    corr = gram[j]
     if non_negative:
-        # zero co-occurrence coordinates have optimum 0 under non-negativity
-        cand = np.flatnonzero(corr)
-        cand = cand[(cand != j) & (col_norms[cand] > 0)]
+        coo = gram.tocoo()
+        rows, cols, vals = coo.row, coo.col, coo.data
     else:
-        cand = np.flatnonzero(col_norms > 0)
-        cand = cand[cand != j]
-    w = np.zeros(num_artists)
-    if cand.size == 0:
-        return cand, w[cand]
-    partial = np.zeros(num_artists)  # gram @ w, maintained incrementally
+        live = np.flatnonzero(col_norms > 0)
+        rows = np.repeat(live, live.size)
+        cols = np.tile(live, live.size)
+        vals = gram[live][:, live].toarray().ravel()
+    off = rows != cols
+    indptr = np.zeros(col_norms.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[off], minlength=col_norms.size), out=indptr[1:])
+    return indptr, cols[off].astype(np.int64, copy=False), vals[off]
+
+
+def _coordinate_descent(indptr, cols, corr, col_norms, l1, l2, non_negative,
+                        max_iters, tolerance, trace):
+    """Weights on the candidate pattern (row j holds column j of W).
+
+    Per column, the floating-point operations and their order are those of a
+    cyclic descent over its candidates in ascending index: ``partial`` holds
+    (G w_j)[i] at the position of (j, i), and the rank-1 update at coordinate
+    i reads G[i, :] from a scratch vector.  A column leaves the active set
+    after the first sweep whose largest |delta| is below ``tolerance``.
+    """
+    num_artists = col_norms.size
+    row_len = np.diff(indptr)
+    # flip[p] is the position of (i, j) for the entry p = (j, i); the
+    # pattern is symmetric, so row i lists the columns that visit i.
+    flip = np.lexsort((np.repeat(np.arange(num_artists), row_len), cols))
+    w = np.zeros(cols.size)
+    partial = np.zeros(cols.size)
+    gram_row = np.zeros(num_artists)
+    active = row_len > 0
     for _ in range(max_iters):
-        max_delta = 0.0
-        for i in cand:
-            rho = corr[i] - (partial[i] - col_norms[i] * w[i])
-            if non_negative:
-                w_new = max(0.0, rho - l1) / (col_norms[i] + l2)
-            elif rho > l1:
-                w_new = (rho - l1) / (col_norms[i] + l2)
-            elif rho < -l1:
-                w_new = (rho + l1) / (col_norms[i] + l2)
-            else:
-                w_new = 0.0
-            delta = w_new - w[i]
-            if delta != 0.0:
-                partial += delta * gram[i]
-                w[i] = w_new
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
-            if trace is not None:
-                trace(j, w.copy())
-        if not np.isfinite(max_delta):
-            raise NumericalError(f"non-finite coordinate update in column {j}")
-        if max_delta < tolerance:
+        if not active.any():
             break
-    if not np.all(np.isfinite(w[cand])):
-        raise NumericalError(f"non-finite weights in column {j}")
-    nz = cand[w[cand] != 0.0]
-    return nz, w[nz]
+        max_delta = np.zeros(num_artists)
+        visit = np.zeros(num_artists, dtype=bool)
+        visit[cols[np.repeat(active, row_len)]] = True
+        for i in np.flatnonzero(visit):
+            lo, hi = indptr[i], indptr[i + 1]
+            js, at = cols[lo:hi], flip[lo:hi]
+            is_active = active[js]
+            if not is_active.all():
+                js, at = js[is_active], at[is_active]
+            w_old = w[at]
+            rho = corr[at] - (partial[at] - col_norms[i] * w_old)
+            denom = col_norms[i] + l2
+            if non_negative:
+                shrunk = rho - l1  # np.where, not np.maximum: NaN maps to 0 like max(0.0, x)
+                w_new = np.where(shrunk > 0.0, shrunk, 0.0) / denom
+            else:
+                w_new = np.where(rho > l1, (rho - l1) / denom,
+                                 np.where(rho < -l1, (rho + l1) / denom, 0.0))
+            delta = w_new - w_old
+            moved = np.flatnonzero(delta)
+            if moved.size:
+                delta, jm = delta[moved], js[moved]
+                max_delta[jm] = np.fmax(max_delta[jm], np.abs(delta))
+                w[at[moved]] = w_new[moved]
+                # positions of the moved columns' rows, concatenated
+                starts, lens = indptr[jm], row_len[jm]
+                ends = np.cumsum(lens)
+                pos = np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])
+                gram_row[cols[lo:hi]] = corr[lo:hi]
+                gram_row[i] = col_norms[i]
+                partial[pos] += np.repeat(delta, lens) * gram_row[cols[pos]]
+                gram_row[cols[lo:hi]] = 0.0
+                gram_row[i] = 0.0
+            if trace is not None:
+                for j in js.tolist():
+                    snapshot = np.zeros(num_artists)
+                    snapshot[cols[indptr[j]:indptr[j + 1]]] = w[indptr[j]:indptr[j + 1]]
+                    trace(j, snapshot)
+        bad = np.flatnonzero(active & ~np.isfinite(max_delta))
+        if bad.size:
+            raise NumericalError(f"non-finite coordinate update in column {bad[0]}")
+        active &= max_delta >= tolerance
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        column = np.searchsorted(indptr, bad[0], side="right") - 1
+        raise NumericalError(f"non-finite weights in column {column}")
+    return w
 
 
 class SlimRecommender(RecommenderModel):
     """Elastic-net item-to-item recommender.
 
-    The fit materializes the dense A^T A gram matrix, so memory grows with
-    the square of the artist count; intended for desk-scale catalogues.
+    The fit keeps its state on the sparsity pattern of A^T A, so memory grows
+    with the number of co-occurring artist pairs, not with the square of the
+    artist count (the signed variant visits every pair of artists with plays).
     ``binarize`` fits on 0/1 occurrences instead of raw play counts.
     """
 
@@ -111,35 +159,27 @@ class SlimRecommender(RecommenderModel):
             mat.data = np.ones_like(mat.data)
         return mat.tocsr()
 
-    def fit(self, train: InteractionDataset, trace=None, threads: int = 1):
+    def fit(self, train: InteractionDataset, trace=None):
         """Fit all columns; ``trace(column, w_snapshot)`` observes every update.
 
-        Columns are independent subproblems, so ``threads`` > 1 changes
-        nothing but wall time (tracing forces the serial path).
+        The trace fires once per visited (column, coordinate) with that
+        column's dense weights, in each column's coordinate order.  Columns
+        of artists without train plays are all zero and never visited.
         """
         mat = self._transform(train)
-        gram = (mat.T @ mat).toarray()
-        col_norms = np.diag(gram).copy()
+        gram = (mat.T @ mat).tocsr()
+        gram.sort_indices()  # each column visits its coordinates in ascending order
+        col_norms = gram.diagonal()
         num_artists = train.num_artists
-
-        def solve(j):
-            return _fit_column(
-                gram, col_norms, j, self.l1_penalty, self.l2_penalty,
-                self.non_negative, self.max_iters, self.tolerance, trace,
-            )
-
-        if threads > 1 and trace is None:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                columns = list(pool.map(solve, range(num_artists)))
-        else:
-            columns = [solve(j) for j in range(num_artists)]
-
-        indptr = np.zeros(num_artists + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([len(idx) for idx, _ in columns])
-        indices = np.concatenate([idx for idx, _ in columns]) if indptr[-1] else np.empty(0, np.int64)
-        data = np.concatenate([vals for _, vals in columns]) if indptr[-1] else np.empty(0, np.float64)
+        indptr, cols, corr = _candidate_pattern(gram, col_norms, self.non_negative)
+        w = _coordinate_descent(
+            indptr, cols, corr, col_norms, self.l1_penalty, self.l2_penalty,
+            self.non_negative, self.max_iters, self.tolerance, trace,
+        )
+        keep = w != 0.0
+        kept = np.concatenate(([0], np.cumsum(keep)))
         self.weights_ = sp.csc_matrix(
-            (data, indices, indptr), shape=(num_artists, num_artists)
+            (w[keep], cols[keep], kept[indptr]), shape=(num_artists, num_artists)
         )
         self.num_artists_ = num_artists
         self._train_rows = mat

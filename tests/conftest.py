@@ -3,11 +3,13 @@ import pytest
 
 from popbias.corpus import (
     InteractionDataset,
+    SplitDataset,
     SyntheticConfig,
     compute_popularity,
     generate_synthetic,
     split_mask,
 )
+from popbias.models import RecommenderModel
 
 
 def make_dataset(counts, groups=None):
@@ -28,6 +30,24 @@ def random_dataset(rng, num_users=None, num_artists=None, max_count=5):
         cols = rng.choice(num_artists, size=size, replace=False)
         counts[u, cols] = rng.integers(1, max_count + 1, size=size)
     return make_dataset(counts)
+
+
+class OracleModel(RecommenderModel):
+    """Scores each user's masked artists above everything else."""
+
+    model_type = "oracle"
+
+    def __init__(self, split: SplitDataset):
+        self._split = split
+        self.num_artists_ = split.train.num_artists
+
+    def fit(self, train: InteractionDataset):
+        return self
+
+    def score_user(self, user: int) -> np.ndarray:
+        scores = np.zeros(self.num_artists_)
+        scores[self._split.masked[user]] = 1.0
+        return scores
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,6 @@ from popbias.corpus import (
 )
 from popbias.harness import (
     ExperimentConfig,
-    OracleModel,
     evaluate_model,
     gapcalc,
     read_simulated_records,
@@ -41,7 +40,7 @@ from popbias.models import (
 from popbias.models.multivae import PARAM_KEYS, elbo_loss, gradient, kl_gaussian
 from popbias.models.wrmf import solve_factors
 
-from conftest import make_dataset, random_dataset
+from conftest import OracleModel, make_dataset, random_dataset
 from test_gapcalc import (
     HEADER,
     NEAR_SIGNIFICANT_PROFILE,

@@ -10,7 +10,6 @@ from popbias.errors import TuningError, ValidationError
 from popbias.harness import (
     ExperimentConfig,
     ModelSpec,
-    OracleModel,
     build_model,
     default_ap_k,
     emit_tail_plot_data,
@@ -20,7 +19,7 @@ from popbias.harness import (
 )
 from popbias.models import PopularityRecommender
 
-from conftest import make_dataset
+from conftest import OracleModel, make_dataset
 
 
 def clique_dataset():

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from pytest import approx
 
-from popbias.errors import ValidationError
+from popbias.corpus import InteractionDataset
+from popbias.errors import NumericalError, ValidationError
 from popbias.models import SlimRecommender, slim_objective
 
 from conftest import make_dataset, random_dataset
+from slim_reference import reference_weights
 
 TOY = make_dataset([
     [1, 2, 1],
@@ -81,14 +86,71 @@ class TestFit:
                 break
         assert found_negative
 
-    def test_column_order_and_threads_do_not_change_solution(self):
-        rng = np.random.default_rng(2)
-        ds = random_dataset(rng, num_users=10, num_artists=12)
-        kwargs = dict(l1_penalty=0.05, l2_penalty=0.1, tolerance=1e-10, max_iters=500)
-        serial = SlimRecommender(**kwargs).fit(ds)
-        threaded = SlimRecommender(**kwargs).fit(ds, threads=3)
-        assert (serial.weights_ != threaded.weights_).nnz == 0
-        assert serial.weights_.data.tobytes() == threaded.weights_.data.tobytes()
+    @pytest.mark.parametrize("non_negative", [True, False])
+    @pytest.mark.parametrize("binarize", [False, True])
+    @pytest.mark.parametrize("tolerance", [1e-12, 1e-2])
+    def test_matches_reference_solver_byte_for_byte(self, non_negative, binarize, tolerance):
+        rng = np.random.default_rng([int(non_negative), int(binarize), int(tolerance < 1e-6)])
+        for trial in range(8):
+            ds = random_dataset(rng, num_users=int(rng.integers(2, 14)),
+                                num_artists=int(rng.integers(2, 16)))
+            model = SlimRecommender(
+                l1_penalty=float(rng.choice([0.0, 0.01, 0.1, 1.0])),
+                l2_penalty=float(rng.choice([0.0, 0.05, 1.0])),
+                non_negative=non_negative, binarize=binarize,
+                tolerance=tolerance, max_iters=int(rng.choice([1, 4, 500])),
+            ).fit(ds)
+            want = reference_weights(model, ds)
+            for name in ("data", "indices", "indptr"):
+                got = getattr(model.weights_, name)
+                assert got.dtype == getattr(want, name).dtype, name
+                assert got.tobytes() == getattr(want, name).tobytes(), (trial, name)
+
+    def test_trace_matches_reference_per_column(self):
+        rng = np.random.default_rng(3)
+        for trial in range(5):
+            ds = random_dataset(rng, num_users=9, num_artists=8)
+            model = SlimRecommender(l1_penalty=0.05, l2_penalty=0.1, tolerance=1e-8)
+            got, want = {}, {}
+            model.fit(ds, trace=lambda j, w: got.setdefault(j, []).append(w.tobytes()))
+            reference_weights(model, ds,
+                              trace=lambda j, w: want.setdefault(j, []).append(w.tobytes()))
+            assert got == want
+
+    def test_wide_sparse_catalogue_fits_in_bounded_memory(self):
+        # a dense 200k x 200k gram would need 320 GB
+        num_users, num_artists = 20, 200_000
+        rng = np.random.default_rng(4)
+        rows = np.repeat(np.arange(num_users), 40)
+        cols = np.concatenate([rng.choice(num_artists, 40, replace=False)
+                               for _ in range(num_users)])
+        counts = sp.csr_matrix((rng.integers(1, 6, rows.size), (rows, cols)),
+                               shape=(num_users, num_artists))
+        ds = InteractionDataset([f"u{u}" for u in range(num_users)],
+                                [f"a{a}" for a in range(num_artists)], counts)
+        tracemalloc.start()
+        try:
+            model = SlimRecommender(l1_penalty=0.1, l2_penalty=1.0, max_iters=5).fit(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        W = model.weights_
+        assert W.shape == (num_artists, num_artists) and W.nnz > 0
+        listened = np.unique(cols)
+        assert np.isin(W.indices, listened).all()
+        assert np.isin(np.flatnonzero(np.diff(W.indptr)), listened).all()
+
+    def test_non_finite_update_raises_naming_column(self, monkeypatch):
+        # column 1's tiny norm makes column 0's update overflow to inf
+        ds = make_dataset([[1, 1]])
+        model = SlimRecommender(l1_penalty=0.0, l2_penalty=0.0)
+        scaled = sp.csr_matrix(np.array([[1e150, 1e-160]]))
+        monkeypatch.setattr(model, "_transform", lambda train: scaled)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="column 0"):
+            model.fit(ds)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="column 0"):
+            reference_weights(model, ds)
 
     def test_hyperparam_validation(self):
         with pytest.raises(ValidationError):
