@@ -44,8 +44,6 @@ def _load_config(args) -> ExperimentConfig:
             raise ValidationError(f"{args.config}: invalid JSON: {exc}") from exc
     if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        raw["threads"] = args.threads
     return ExperimentConfig.from_dict(raw)
 
 
@@ -192,14 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="grid-tune the models in a config")
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--out", help="write tuning.json here")
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("run", help="run a full experiment from a config")
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--out", help="write report.txt / report.kv here")
     p.set_defaults(func=_cmd_run)
 

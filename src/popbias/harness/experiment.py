@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +37,10 @@ from ..corpus import (
     split_mask,
 )
 from ..errors import PopBiasError, TuningError, UndefinedMetricError, ValidationError
-from ..metrics import (
+# RankedCandidates, auc and average_precision_at_k are not called here: they
+# are the oracles this module's ranking path is tested against, and they stay
+# importable from it because perfbench/child.py traces them by these names.
+from ..metrics import (  # noqa: F401
     RankedCandidates,
     auc,
     average_precision_at_k,
@@ -113,7 +115,6 @@ class ExperimentConfig:
     ap_k: int | None = None
     popularity_scope: str = "all-data"
     gap_profile: str = "full"
-    threads: int = 1
 
     def __post_init__(self):
         if (self.interactions_path is None) == (self.synthetic is None):
@@ -130,8 +131,6 @@ class ExperimentConfig:
             raise ValidationError(f"unknown popularity scope {self.popularity_scope!r}")
         if self.gap_profile not in ("full", "train"):
             raise ValidationError(f"unknown gap profile {self.gap_profile!r}")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
         if not self.models:
             raise ValidationError("config lists no models")
 
@@ -182,7 +181,6 @@ class ExperimentConfig:
             ap_k=int(raw["ap_k"]) if raw.get("ap_k") is not None else None,
             popularity_scope=raw.get("popularity_scope", "all-data"),
             gap_profile=raw.get("gap_profile", "full"),
-            threads=int(raw.get("threads", 1)),
         )
 
     def to_canonical_dict(self) -> dict:
@@ -332,6 +330,23 @@ def _group_indices(group_labels: list[str], num_users: int) -> dict[str, np.ndar
     return groups
 
 
+def _positive_ranks(ordering: np.ndarray, positives: np.ndarray,
+                    is_positive: np.ndarray) -> np.ndarray:
+    """Ascending positions in ``ordering`` of the held-out ``positives``.
+
+    ``is_positive`` is an all-False scratch mask over the artists, reused
+    across users and left all-False on return.  Raises ``ValidationError``
+    when a positive is not among the candidates, as ``RankedCandidates`` does.
+    """
+    is_positive[positives] = True
+    ranks = np.flatnonzero(is_positive[ordering])
+    num_positives = np.count_nonzero(is_positive)
+    is_positive[positives] = False
+    if len(ranks) != num_positives:
+        raise ValidationError("positives are not a subset of the candidates")
+    return ranks
+
+
 def evaluate_model(
     model: RecommenderModel,
     dataset: InteractionDataset,
@@ -340,32 +355,29 @@ def evaluate_model(
     group_labels: list[str],
     top_n: int = 10,
     gap_profile: str = "full",
-    threads: int = 1,
 ) -> ModelEvaluation:
     """Per-user AUC and retained top-N, aggregated per mainstream group.
 
     Users whose masked set is empty, or whose candidate list has no negative,
     are skipped for AUC and counted; GAP aggregates run over every user with
-    a non-empty recommendation list.
+    a non-empty recommendation list.  AUC comes from where the positives land
+    in the ranking, by the same integer formula as ``metrics.auc``.
     """
     num_users = dataset.num_users
-
-    def eval_user(u):
-        scores = model.score_user(u)
-        ordering = rank_candidates(scores, exclude=split.train.profile(u))
-        top = ordering[:top_n]
+    is_positive = np.zeros(split.train.num_artists, dtype=bool)
+    per_user_auc = np.full(num_users, math.nan)
+    tops = []
+    for u in range(num_users):
+        ordering = rank_candidates(model.score_user(u), exclude=split.train.profile(u))
+        tops.append(ordering[:top_n].copy())  # a view would keep the whole ordering alive
         positives = split.masked[u]
         if len(positives) == 0 or len(ordering) - len(positives) == 0:
-            return math.nan, top
-        return auc(RankedCandidates(ordering, positives)), top
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(eval_user, range(num_users)))
-    else:
-        results = [eval_user(u) for u in range(num_users)]
-    per_user_auc = np.array([r[0] for r in results])
-    tops = [r[1] for r in results]
+            continue
+        ranks = _positive_ranks(ordering, positives, is_positive)
+        p = len(ranks)
+        n = len(ordering) - p
+        # concordant pairs = sum over positives of negatives ranked below them
+        per_user_auc[u] = (p * n + p * (p - 1) // 2 - int(ranks.sum())) / (p * n)
 
     profile_of = dataset.profile if gap_profile == "full" else split.train.profile
     group_metrics = {}
@@ -399,6 +411,14 @@ def evaluate_model(
 
 
 def _mean_ap(model, split: SplitDataset, k: int) -> float | None:
+    """Mean AP@K over the users with an evaluable holdout.
+
+    Each user's AP@K is summed over the hits in the top K in rank order, in
+    the same float operations as ``metrics.average_precision_at_k``.
+    """
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    is_positive = np.zeros(split.train.num_artists, dtype=bool)
     values = []
     for u in range(split.train.num_users):
         positives = split.masked[u]
@@ -407,7 +427,11 @@ def _mean_ap(model, split: SplitDataset, k: int) -> float | None:
         ordering = rank_candidates(model.score_user(u), exclude=split.train.profile(u))
         if len(ordering) - len(positives) == 0:
             continue
-        values.append(average_precision_at_k(RankedCandidates(ordering, positives), k))
+        ranks = _positive_ranks(ordering, positives, is_positive)
+        total = 0.0
+        for hits, rank0 in enumerate(ranks[: np.searchsorted(ranks, k)].tolist(), start=1):
+            total += hits / (rank0 + 1)
+        values.append(total / min(k, len(ranks)))
     if not values:
         return None
     return float(np.mean(values))
@@ -503,7 +527,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         _stage(f"fit:{spec.name}", model.fit, split.train)
         evaluation = _stage(
             f"evaluate:{spec.name}", evaluate_model, model, dataset, split, pop_eval,
-            group_labels, config.top_n, config.gap_profile, config.threads,
+            group_labels, config.top_n, config.gap_profile,
         )
         model_groups[spec.name] = evaluation.groups
 

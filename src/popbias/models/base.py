@@ -2,8 +2,8 @@
 
 A fitted model exposes ``score_user(u)``: a dense score vector over every
 artist in the training data, higher meaning more recommended.  Ranking ties
-always break by ascending artist index so results are reproducible across
-runs and thread counts.
+always break by ascending artist index, so a ranking depends on the scores
+alone and reruns reproduce it exactly.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ class PopularityRecommender(RecommenderModel):
 class RandomRecommender(RecommenderModel):
     """Assigns each user an independent pseudo-random artist permutation.
 
-    Scores are deterministic per (seed, user), so repeated calls and parallel
-    evaluation agree exactly.
+    Scores are deterministic per (seed, user), so repeated calls agree
+    exactly.
     """
 
     model_type = "random"
@@ -131,15 +131,34 @@ def rank_candidates(scores: np.ndarray, exclude=None) -> np.ndarray:
     """Order artists by descending score, ascending index on ties.
 
     ``exclude`` (typically the user's training profile) is removed from the
-    returned ordering entirely.
+    returned ordering entirely.  NaN scores rank last, -0.0 ties with 0.0.
+
+    The candidates are ordered by one unstable (SIMD) sort of the negated
+    scores; when scores tie, one integer sort of ``run_start * n + position``
+    then puts each run of equal scores back into ascending index order.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    if exclude is not None and len(exclude):
-        drop = np.zeros(len(scores), dtype=bool)
-        drop[np.asarray(exclude, dtype=np.int64)] = True
-        order = order[~drop[order]]
-    return order
+    keep = np.ones(len(scores), dtype=bool)
+    if exclude is not None:
+        keep[np.asarray(exclude, dtype=np.int64)] = False
+    candidates = np.flatnonzero(keep)
+    neg = -scores[candidates]
+    n = len(neg)
+    order = np.argsort(neg)
+    ranked = neg[order]
+    starts = np.empty(n, dtype=bool)  # does position i start a run of equal scores?
+    starts[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    if n and np.isnan(ranked[-1]):
+        # the sort puts NaNs last; they compare unequal but rank as one tied run
+        starts[np.searchsorted(ranked, np.nan) + 1:] = False
+    if not starts.all():
+        run_start = np.where(starts, np.arange(n), 0)
+        np.maximum.accumulate(run_start, out=run_start)
+        run_start *= n
+        order = np.sort(run_start + order)
+        order -= run_start
+    return candidates[order]
 
 
 def recommend_top_n(
@@ -155,4 +174,4 @@ def recommend_top_n(
         raise ValidationError(f"user index {user} out of range")
     scores = model.score_user(user)
     ordering = rank_candidates(scores, exclude=train.profile(user))
-    return ordering[:n]
+    return ordering[:n].copy()  # a view would keep the whole ordering alive

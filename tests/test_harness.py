@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from popbias.corpus import SyntheticConfig, compute_popularity, split_mask
+from popbias.corpus import SplitDataset, SyntheticConfig, compute_popularity, split_mask
 from popbias.errors import TuningError, ValidationError
 from popbias.harness import (
     ExperimentConfig,
@@ -17,8 +17,10 @@ from popbias.harness import (
     run_experiment,
     tune,
 )
+from popbias.harness.experiment import _mean_ap
 from popbias.models import PopularityRecommender
 
+import ranking_reference
 from conftest import OracleModel, make_dataset
 
 
@@ -147,14 +149,44 @@ class TestEvaluate:
         assert ev.groups["all"].auc_mean == 1.0
         assert ev.groups["all"].n_skipped == 0
 
-    def test_thread_fanout_identical_results(self, zipf_dataset, zipf_split, zipf_pop):
+    @pytest.mark.parametrize("name", ["popularity", "random", "slim", "wrmf", "multivae",
+                                      "oracle"])
+    def test_matches_reference_evaluation(self, name, zipf_dataset, zipf_split, zipf_pop):
+        if name == "oracle":
+            model = OracleModel(zipf_split)
+        else:
+            hyper = {"slim": {"l1_penalty": 0.5, "l2_penalty": 1.0, "max_iters": 20},
+                     "wrmf": {"factors": 8, "sweeps": 3},
+                     "multivae": {"epochs": 3, "latent_dim": 8, "hidden_dim": 16}}
+            model = build_model(name, hyper.get(name, {}), default_seed=4).fit(zipf_split.train)
+        ev = evaluate_model(model, zipf_dataset, zipf_split, zipf_pop,
+                            zipf_dataset.group_labels, top_n=7)
+        ref_auc, ref_tops = ranking_reference.evaluate_users(model, zipf_split, 7)
+        assert ev.per_user_auc.tobytes() == ref_auc.tobytes()
+        assert [t.tolist() for t in ev.top_n] == [t.tolist() for t in ref_tops]
+        for k in (1, 5, default_ap_k(zipf_dataset.num_artists), 10_000):
+            assert _mean_ap(model, zipf_split, k) == ranking_reference.mean_ap(
+                model, zipf_split, k)
+
+    def test_top_n_lists_own_their_data(self, zipf_dataset, zipf_split, zipf_pop):
+        # a view into the full ordering would keep every ordering alive
         model = PopularityRecommender().fit(zipf_split.train)
-        serial = evaluate_model(model, zipf_dataset, zipf_split, zipf_pop,
-                                zipf_dataset.group_labels, threads=1)
-        fanned = evaluate_model(model, zipf_dataset, zipf_split, zipf_pop,
-                                zipf_dataset.group_labels, threads=4)
-        assert serial.per_user_auc.tobytes() == fanned.per_user_auc.tobytes()
-        assert serial.groups == fanned.groups
+        ev = evaluate_model(model, zipf_dataset, zipf_split, zipf_pop,
+                            zipf_dataset.group_labels)
+        assert all(top.base is None for top in ev.top_n)
+
+    def test_positive_inside_training_profile_rejected(self):
+        ds = make_dataset([[1, 1, 0, 0, 0, 0], [1, 1, 1, 1, 0, 0]])
+        split = split_mask(ds, 0.5, seed=0)
+        # user 1's holdout claims an artist it keeps in its training profile
+        masked = list(split.masked)
+        masked[1] = np.union1d(masked[1], split.train.profile(1)[:1])
+        bad = SplitDataset(train=split.train, masked=masked, seed=0, holdout_fraction=0.5)
+        model = PopularityRecommender().fit(split.train)
+        with pytest.raises(ValidationError, match="not a subset"):
+            evaluate_model(model, ds, bad, compute_popularity(ds), ["low", "high"])
+        with pytest.raises(ValidationError, match="not a subset"):
+            _mean_ap(model, bad, 2)
 
     def test_skipped_users_counted(self):
         # single-artist users have empty masked sets and cannot be scored by AUC

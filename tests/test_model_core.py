@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from popbias.corpus import compute_popularity, split_mask
@@ -17,6 +19,7 @@ from popbias.models import (
     save_model,
 )
 
+import ranking_reference
 from conftest import make_dataset, random_dataset
 
 
@@ -69,6 +72,44 @@ class TestRandomModel:
         assert sorted(model.score_user(0).tolist()) == list(map(float, range(10)))
 
 
+# few distinct values, so most vectors have runs of ties
+tie_heavy_scores = st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan])
+    | st.floats(allow_nan=True, allow_infinity=True),
+    max_size=40,
+)
+
+
+class TestRankCandidates:
+    @given(tie_heavy_scores, st.sampled_from(["none", "empty", "partial", "total"]),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lexsort_reference(self, scores, exclusion, rnd):
+        n = len(scores)
+        exclude = {
+            "none": None,
+            "empty": [],
+            "partial": rnd.sample(range(n), rnd.randint(0, n)),
+            "total": list(range(n)),
+        }[exclusion]
+        got = rank_candidates(np.array(scores), exclude=exclude)
+        assert got.tolist() == ranking_reference.rank_candidates(scores, exclude).tolist()
+
+    def test_matches_lexsort_reference_on_long_vectors(self):
+        # long enough for the vectorised sort kernels, not only their small-array paths
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            n = int(rng.integers(100, 5000))
+            pool = [rng.integers(0, 1 + trial % 7, n).astype(float), rng.normal(size=n),
+                    rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 3.0], n)]
+            scores = pool[trial % 3]
+            scores[rng.random(n) < 0.05 * (trial % 4)] = np.nan
+            exclude = rng.choice(n, int(rng.integers(0, n // 2)), replace=False)
+            for ex in (None, exclude):
+                expected = ranking_reference.rank_candidates(scores, ex)
+                assert np.array_equal(rank_candidates(scores, ex), expected)
+
+
 class TestTopN:
     def test_profile_excluded_despite_top_score(self):
         ds = make_dataset([[9, 0, 0, 0, 0], [1, 1, 1, 1, 1]])
@@ -88,6 +129,7 @@ class TestTopN:
         model = PopularityRecommender().fit(ds)
         top = recommend_top_n(model, ds, user=0, n=10)
         assert top.tolist() == [2]
+        assert top.base is None
 
     def test_popularity_top_n_is_globally_most_popular_excluding_profile(self):
         rng = np.random.default_rng(8)
