@@ -42,7 +42,7 @@ def _load_config(args) -> ExperimentConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{args.config}: invalid JSON: {exc}") from exc
-    if getattr(args, "seed", None) is not None:
+    if getattr(args, "seed", None) is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
     return ExperimentConfig.from_dict(raw)
 

@@ -82,10 +82,6 @@ class InteractionDataset:
         lo, hi = self.counts.indptr[user], self.counts.indptr[user + 1]
         return self.counts.indices[lo:hi]
 
-    def profile_counts(self, user: int) -> np.ndarray:
-        lo, hi = self.counts.indptr[user], self.counts.indptr[user + 1]
-        return self.counts.data[lo:hi]
-
     def __eq__(self, other):
         if not isinstance(other, InteractionDataset):
             return NotImplemented

@@ -12,12 +12,14 @@ same config reproduces the report byte for byte.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import logging
 import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import NoneType
 
 import numpy as np
 import scipy
@@ -98,6 +100,63 @@ class ModelSpec:
             raise ValidationError(f"model {self.name!r} has an empty tuning grid")
 
 
+# What each config key accepts: a dict is an object with those keys, a list a
+# list of that length, else the allowed types.  A float key also takes an int;
+# an int key never takes a bool.
+_CONFIG_SCHEMA = {
+    "seed": int, "top_n": int, "ap_k": (int, NoneType), "tune_seed": int,
+    "popularity_scope": str, "gap_profile": str, "models": list,
+    "split": {"holdout_fraction": float, "seed": int},
+    "dataset": {
+        "interactions": (str, NoneType), "groups": (str, NoneType), "seed": int,
+        "synthetic": {
+            "num_users": int, "num_artists": int, "zipf_exponent": float,
+            "profile_size_range": [int, int], "mainstream_mix": [float] * 3,
+            "count_geometric_p": float,
+        },
+    },
+}
+
+
+def _check_config(value, schema, path: str = ""):
+    """Return ``value`` if it fits ``schema``, else raise naming the first misfit."""
+    if isinstance(schema, dict):
+        for key, item in _check_config(value, dict, path).items():
+            where = f"{path}.{key}" if path else key
+            if key not in schema:
+                raise ValidationError(
+                    f"unknown config key {where!r}; expected one of {sorted(schema)}"
+                )
+            _check_config(item, schema[key], where)
+    elif isinstance(schema, list):
+        if len(_check_config(value, list, path)) != len(schema):
+            raise ValidationError(f"config {path} must have {len(schema)} entries")
+        for i, (item, kind) in enumerate(zip(value, schema)):
+            _check_config(item, kind, f"{path}[{i}]")
+    else:
+        kinds = schema if isinstance(schema, tuple) else (schema,)
+        types = kinds + (int,) * (float in kinds)
+        if (isinstance(value, bool) and bool not in kinds) or not isinstance(value, types):
+            names = " or ".join("null" if k is NoneType else k.__name__ for k in kinds)
+            raise ValidationError(f"config {path or 'root'} must be {names}, got {value!r}")
+    return value
+
+
+def _model_spec(entry, path: str) -> ModelSpec:
+    """One ``models`` entry; hyperparameters take the types of their defaults."""
+    if isinstance(_check_config(entry, (str, dict), path), str):
+        entry = {"name": entry}
+    _check_config(entry, {"name": str, "hyperparams": dict, "grid": list}, path)
+    spec = ModelSpec(entry.get("name", ""), dict(entry.get("hyperparams", {})), entry.get("grid"))
+    params = inspect.signature(MODEL_FACTORIES[spec.name]).parameters.values()
+    schema = {p.name: type(p.default) for p in params}
+    _check_config(spec.hyperparams, schema, f"{path}.hyperparams")
+    if spec.grid is not None:
+        spec.grid = [dict(_check_config(point, schema, f"{path}.grid[{j}]"))
+                     for j, point in enumerate(spec.grid)]
+    return spec
+
+
 @dataclass
 class ExperimentConfig:
     """Everything an experiment run needs, in one deterministic record."""
@@ -136,49 +195,31 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
-        seed = int(raw.get("seed", 0))
-        dataset = raw.get("dataset")
-        if not isinstance(dataset, dict):
-            raise ValidationError("config is missing the 'dataset' section")
-        interactions = dataset.get("interactions")
-        groups = dataset.get("groups")
+        """Build a config from parsed JSON; unknown keys and wrong types are errors."""
+        _check_config(raw, _CONFIG_SCHEMA)
+        seed = raw.get("seed", 0)
+        dataset = raw.get("dataset", {})
         synthetic = None
-        dataset_seed = int(dataset.get("seed", seed))
         if "synthetic" in dataset:
-            syn = dict(dataset["synthetic"])
-            if "profile_size_range" in syn:
-                syn["profile_size_range"] = tuple(syn["profile_size_range"])
-            if "mainstream_mix" in syn:
-                syn["mainstream_mix"] = tuple(syn["mainstream_mix"])
+            syn = {k: tuple(v) if isinstance(v, list) else v
+                   for k, v in dataset["synthetic"].items()}
             try:
                 synthetic = SyntheticConfig(**syn)
             except TypeError as exc:
                 raise ValidationError(f"bad synthetic config: {exc}") from exc
         split = raw.get("split", {})
-        models = []
-        for entry in raw.get("models", []):
-            if isinstance(entry, str):
-                entry = {"name": entry}
-            models.append(
-                ModelSpec(
-                    name=entry.get("name", ""),
-                    hyperparams=dict(entry.get("hyperparams", {})),
-                    grid=[dict(g) for g in entry["grid"]] if "grid" in entry else None,
-                )
-            )
         return cls(
-            models=models,
-            interactions_path=interactions,
-            groups_path=groups,
+            models=[_model_spec(m, f"models[{i}]") for i, m in enumerate(raw.get("models", []))],
+            interactions_path=dataset.get("interactions"),
+            groups_path=dataset.get("groups"),
             synthetic=synthetic,
-            dataset_seed=dataset_seed,
+            dataset_seed=dataset.get("seed", seed),
             holdout_fraction=float(split.get("holdout_fraction", 0.2)),
-            split_seed=int(split.get("seed", seed)),
-            tune_seed=int(raw.get("tune_seed", seed)),
+            split_seed=split.get("seed", seed),
+            tune_seed=raw.get("tune_seed", seed),
             seed=seed,
-            top_n=int(raw.get("top_n", 10)),
-            ap_k=int(raw["ap_k"]) if raw.get("ap_k") is not None else None,
+            top_n=raw.get("top_n", 10),
+            ap_k=raw.get("ap_k"),
             popularity_scope=raw.get("popularity_scope", "all-data"),
             gap_profile=raw.get("gap_profile", "full"),
         )
@@ -305,21 +346,24 @@ class ExperimentReport:
         return "\n".join(lines)
 
     def write(self, out_dir) -> tuple[Path, Path]:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        txt = out_dir / "report.txt"
-        kv = out_dir / "report.kv"
-        written = []
-        try:
-            txt.write_text(self.to_text(), encoding="utf-8")
-            written.append(txt)
-            kv.write_text("\n".join(self.to_kv_lines()) + "\n", encoding="utf-8")
-            written.append(kv)
-        except Exception:
-            for path in written:
-                path.unlink(missing_ok=True)
-            raise
-        return txt, kv
+        return write_report_files(out_dir, "report", self.to_text(), self.to_kv_lines())
+
+
+def write_report_files(out_dir, stem: str, text: str, kv_lines) -> tuple[Path, Path]:
+    """Write ``<stem>.txt`` and ``<stem>.kv``; on failure remove what was written."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = (out_dir / f"{stem}.txt", out_dir / f"{stem}.kv")
+    written = []
+    try:
+        for path, content in zip(paths, (text, "\n".join(kv_lines) + "\n")):
+            path.write_text(content, encoding="utf-8")
+            written.append(path)
+    except Exception:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    return paths
 
 
 def _group_indices(group_labels: list[str], num_users: int) -> dict[str, np.ndarray]:
@@ -550,7 +594,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     return report
 
 
-def emit_tail_plot_data(dataset: InteractionDataset, out_dir, split=None):
+def emit_tail_plot_data(dataset: InteractionDataset, out_dir):
     """Write the popularity-by-rank series and the coverage curve as TSV files."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -561,7 +605,7 @@ def emit_tail_plot_data(dataset: InteractionDataset, out_dir, split=None):
         fh.write("# rank\tphi\n")
         for rank, artist in enumerate(order, start=1):
             fh.write(f"{rank}\t{pop.phi[artist]:.6f}\n")
-    stats = long_tail_stats(dataset, split)
+    stats = long_tail_stats(dataset)
     coverage_path = out_dir / "tail_coverage.tsv"
     stats.write_coverage(coverage_path)
     return stats, (rank_path, coverage_path)

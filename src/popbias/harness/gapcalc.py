@@ -20,6 +20,7 @@ from scipy.stats import t as t_dist
 from ..corpus import GROUP_LABELS
 from ..errors import ParseError, ValidationError
 from ..metrics import delta_gap
+from .experiment import write_report_files
 
 ROLES = ("profile-seed", "recommended")
 EXPECTED_HEADER = [
@@ -220,20 +221,7 @@ class GapcalcReport:
         return "\n".join(lines)
 
     def write(self, out_dir) -> tuple[Path, Path]:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        txt = out_dir / "gapcalc.txt"
-        kv = out_dir / "gapcalc.kv"
-        written = []
-        try:
-            txt.write_text(self.to_text(), encoding="utf-8")
-            written.append(txt)
-            kv.write_text("\n".join(self.to_kv_lines()) + "\n", encoding="utf-8")
-        except Exception:
-            for path in written:
-                path.unlink(missing_ok=True)
-            raise
-        return txt, kv
+        return write_report_files(out_dir, "gapcalc", self.to_text(), self.to_kv_lines())
 
 
 def gapcalc(records: list[SimulatedUserRecord]) -> GapcalcReport:

@@ -94,13 +94,13 @@ def average_precision_at_k(ranked: RankedCandidates, k: int) -> float:
 def gap(profiles, pop: PopularityTable) -> float:
     """Group Average Popularity: mean over users of their mean artist phi.
 
-    ``profiles`` is an iterable of per-user artist index collections; the
-    same function serves both profile inputs (GAP over what users listen to)
-    and recommendation outputs (GAP over what they are recommended).
+    ``profiles`` is an iterable of per-user artist index sequences or arrays;
+    the same function serves both profile inputs (GAP over what users listen
+    to) and recommendation outputs (GAP over what they are recommended).
     """
     user_means = []
     for prof in profiles:
-        arr = np.asarray(list(prof), dtype=np.int64)
+        arr = np.asarray(prof, dtype=np.int64)
         if arr.size == 0:
             raise ValidationError("GAP undefined for an empty user artist set")
         if arr.max() >= len(pop.phi) or arr.min() < 0:
@@ -120,7 +120,7 @@ def delta_gap(gap_p: float, gap_r: float) -> float:
 
 def mean_with_stderr(values) -> tuple[float, float | None]:
     """Mean and standard error (sample std over sqrt(n)); stderr None for n < 2."""
-    arr = np.asarray(list(values), dtype=np.float64)
+    arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValidationError("mean of an empty sequence is undefined")
     mean = float(arr.mean())

@@ -7,7 +7,6 @@ from .base import (
     rank_candidates,
     recommend_top_n,
 )
-from .io import load_model, save_model
 from .multivae import MultiVaeRecommender, elbo_loss, gradient, kl_gaussian
 from .slim import SlimRecommender, slim_objective
 from .wrmf import WrmfRecommender, solve_factors, wrmf_objective
@@ -22,10 +21,8 @@ __all__ = [
     "elbo_loss",
     "gradient",
     "kl_gaussian",
-    "load_model",
     "rank_candidates",
     "recommend_top_n",
-    "save_model",
     "slim_objective",
     "solve_factors",
     "wrmf_objective",

@@ -37,13 +37,6 @@ class RecommenderModel(abc.ABC):
         if not self.is_fitted:
             raise ValidationError(f"{type(self).__name__} is not fitted")
 
-    # Persistence hooks; see models.io for the container format.
-    def save_meta(self) -> dict:
-        raise ValidationError(f"{type(self).__name__} does not support persistence")
-
-    def save_arrays(self) -> dict:
-        raise ValidationError(f"{type(self).__name__} does not support persistence")
-
 
 class PopularityRecommender(RecommenderModel):
     """Scores every artist by train-set popularity, identically for all users.
@@ -74,20 +67,6 @@ class PopularityRecommender(RecommenderModel):
         self._require_fitted()
         return self.scores_.copy()
 
-    def save_meta(self):
-        return {"weighting": self.weighting}
-
-    def save_arrays(self):
-        self._require_fitted()
-        return {"scores": self.scores_}
-
-    @classmethod
-    def load(cls, meta, arrays, train=None):
-        model = cls(weighting=meta["weighting"])
-        model.scores_ = arrays["scores"].astype(np.float64)
-        model.num_artists_ = len(model.scores_)
-        return model
-
 
 class RandomRecommender(RecommenderModel):
     """Assigns each user an independent pseudo-random artist permutation.
@@ -112,19 +91,6 @@ class RandomRecommender(RecommenderModel):
         self._require_fitted()
         rng = np.random.default_rng([self.seed, user])
         return rng.permutation(self.num_artists_).astype(np.float64)
-
-    def save_meta(self):
-        self._require_fitted()
-        return {"seed": self.seed, "num_artists": self.num_artists_}
-
-    def save_arrays(self):
-        return {}
-
-    @classmethod
-    def load(cls, meta, arrays, train=None):
-        model = cls(seed=meta["seed"])
-        model.num_artists_ = meta["num_artists"]
-        return model
 
 
 def rank_candidates(scores: np.ndarray, exclude=None) -> np.ndarray:

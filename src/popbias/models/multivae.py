@@ -257,48 +257,11 @@ class MultiVaeRecommender(RecommenderModel):
         self._train = train
         return self
 
-    def bind_train(self, train: InteractionDataset):
-        """Attach a training dataset so a loaded model can score users."""
-        self._require_fitted()
-        if train.num_artists != self.num_artists_:
-            raise ValidationError("training dataset does not match model width")
-        self._train = train
-        return self
-
     def score_user(self, user: int) -> np.ndarray:
         self._require_fitted()
-        if self._train is None:
-            raise ValidationError("model needs a training dataset; call bind_train")
         x = self._normalized_rows(self._train, [user])
         h1 = np.tanh(x @ self.params_["w_enc"].T + self.params_["b_enc"])
         mu = h1 @ self.params_["w_mu"].T + self.params_["b_mu"]
         h2 = np.tanh(mu @ self.params_["w_dec"].T + self.params_["b_dec"])
         logits = h2 @ self.params_["w_out"].T + self.params_["b_out"]
         return logits[0]
-
-    def save_meta(self):
-        return {
-            "latent_dim": self.latent_dim,
-            "hidden_dim": self.hidden_dim,
-            "beta_max": self.beta_max,
-            "anneal_steps": self.anneal_steps,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "dropout_keep": self.dropout_keep,
-            "momentum": self.momentum,
-            "init_seed": self.init_seed,
-        }
-
-    def save_arrays(self):
-        self._require_fitted()
-        return dict(self.params_)
-
-    @classmethod
-    def load(cls, meta, arrays, train=None):
-        model = cls(**meta)
-        model.params_ = {k: arrays[k] for k in PARAM_KEYS}
-        model.num_artists_ = model.params_["b_out"].shape[0]
-        if train is not None:
-            model.bind_train(train)
-        return model

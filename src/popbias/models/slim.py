@@ -185,52 +185,10 @@ class SlimRecommender(RecommenderModel):
         self._train_rows = mat
         return self
 
-    def bind_train(self, train: InteractionDataset):
-        """Attach a training dataset so a loaded model can score users."""
-        self._require_fitted()
-        if train.num_artists != self.num_artists_:
-            raise ValidationError("training dataset does not match model width")
-        self._train_rows = self._transform(train)
-        return self
-
     def score_user(self, user: int) -> np.ndarray:
         self._require_fitted()
-        if self._train_rows is None:
-            raise ValidationError("model needs a training dataset; call bind_train")
         row = self._train_rows.getrow(user)
         return np.asarray((row @ self.weights_).todense()).ravel()
-
-    def save_meta(self):
-        return {
-            "l1_penalty": self.l1_penalty,
-            "l2_penalty": self.l2_penalty,
-            "non_negative": self.non_negative,
-            "max_iters": self.max_iters,
-            "tolerance": self.tolerance,
-            "binarize": self.binarize,
-        }
-
-    def save_arrays(self):
-        self._require_fitted()
-        w = self.weights_
-        return {
-            "w_data": w.data,
-            "w_indices": w.indices,
-            "w_indptr": w.indptr,
-            "w_shape": np.asarray(w.shape, dtype=np.int64),
-        }
-
-    @classmethod
-    def load(cls, meta, arrays, train=None):
-        model = cls(**meta)
-        shape = tuple(arrays["w_shape"])
-        model.weights_ = sp.csc_matrix(
-            (arrays["w_data"], arrays["w_indices"], arrays["w_indptr"]), shape=shape
-        )
-        model.num_artists_ = shape[0]
-        if train is not None:
-            model.bind_train(train)
-        return model
 
 
 def slim_objective(

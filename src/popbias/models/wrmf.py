@@ -168,25 +168,3 @@ class WrmfRecommender(RecommenderModel):
     def score_user(self, user: int) -> np.ndarray:
         self._require_fitted()
         return self.user_factors_[user] @ self.item_factors_.T
-
-    def save_meta(self):
-        return {
-            "factors": self.factors,
-            "alpha": self.alpha,
-            "ridge": self.ridge,
-            "sweeps": self.sweeps,
-            "init_seed": self.init_seed,
-            "confidence": self.confidence,
-        }
-
-    def save_arrays(self):
-        self._require_fitted()
-        return {"user_factors": self.user_factors_, "item_factors": self.item_factors_}
-
-    @classmethod
-    def load(cls, meta, arrays, train=None):
-        model = cls(**meta)
-        model.user_factors_ = arrays["user_factors"]
-        model.item_factors_ = arrays["item_factors"]
-        model.num_artists_ = model.item_factors_.shape[0]
-        return model

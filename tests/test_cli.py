@@ -1,4 +1,8 @@
 import json
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,3 +149,52 @@ def test_tailplot_command(data_file, tmp_path, capsys):
     assert main(["tailplot", "--data", str(data_file), "--out", str(out)]) == 0
     assert (out / "tail_rank_phi.tsv").exists()
     assert (out / "tail_coverage.tsv").exists()
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda raw: raw["dataset"].update(synthetic=5), "dataset.synthetic must be dict"),
+    (lambda raw: raw.update(split=[1]), "split must be dict"),
+    (lambda raw: raw.update(models=[7]), r"models\[0\] must be str or dict"),
+    (lambda raw: raw["dataset"]["synthetic"].update(num_users="3"),
+     "num_users must be int"),
+    (lambda raw: raw.update({"top-n": 3}), "unknown config key 'top-n'"),
+    (lambda raw: raw.update(seed=1.7), "seed must be int"),
+    (lambda raw: raw.update(threads=2), "unknown config key 'threads'"),
+])
+def test_run_malformed_config_exits_2(tmp_path, capsys, mutate, message):
+    config = run_config(tmp_path, [{"name": "popularity"}])
+    raw = json.loads(config.read_text())
+    mutate(raw)
+    write(config, json.dumps(raw))
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(message, err)
+    assert "Traceback" not in err
+
+
+def test_run_config_not_an_object_exits_2(tmp_path, capsys):
+    config = write(tmp_path / "c.json", "[1, 2]")
+    assert main(["run", "--config", str(config), "--seed", "4"]) == 2
+    assert "config root must be dict" in capsys.readouterr().err
+
+
+def test_bench_tracer_runs_against_library(tmp_path):
+    """perfbench/child.py wraps harness names and model methods by attribute."""
+    root = Path(__file__).resolve().parents[1]
+    config = root / "tests" / "data" / "golden_learners_config.json"
+    marks = tmp_path / "marks.json"
+    traced = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), "trace", str(marks),
+         "run", "--config", str(config), "--out", str(tmp_path / "traced")],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert traced.returncode == 0, traced.stderr
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "plain")]) == 0
+
+    def report(name):
+        lines = (tmp_path / name / "report.kv").read_text().splitlines()
+        return [line for line in lines if not line.startswith("provenance.version.")]
+
+    assert report("traced") == report("plain")
+    spans = {span[0] for span in json.loads(marks.read_text())["spans"]}
+    assert {"rank_candidates", "evaluate:slim", "slim.fit", "wrmf.score"} <= spans

@@ -1,8 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from popbias.corpus import SplitDataset, SyntheticConfig, compute_popularity, split_mask
@@ -64,6 +68,29 @@ def tiny_raw_config(**overrides):
     return raw
 
 
+# Every key name the config accepts at some level.
+CONFIG_KEYS = {
+    "seed", "dataset", "split", "models", "top_n", "ap_k", "tune_seed",
+    "popularity_scope", "gap_profile", "interactions", "groups", "synthetic",
+    "num_users", "num_artists", "zipf_exponent", "profile_size_range",
+    "mainstream_mix", "count_geometric_p", "holdout_fraction", "name",
+    "hyperparams", "grid",
+}
+
+
+def _keys(section, path=""):
+    """Yield (section, key, path of the section) for every key of a raw config."""
+    for key, value in section.items():
+        where = f"{path}.{key}" if path else key
+        yield section, key, path
+        if isinstance(value, dict):
+            yield from _keys(value, where)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                if isinstance(item, dict):
+                    yield from _keys(item, f"{where}[{i}]")
+
+
 class TestConfig:
     def test_from_dict_round_trip_hash_stable(self):
         a = ExperimentConfig.from_dict(tiny_raw_config())
@@ -88,6 +115,67 @@ class TestConfig:
     def test_bad_fraction_rejected(self):
         raw = tiny_raw_config(split={"holdout_fraction": 1.5, "seed": 0})
         with pytest.raises(ValidationError):
+            ExperimentConfig.from_dict(raw)
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"### Experiment config\n.*?```json\n(.*?)```", readme, re.S)
+        config = ExperimentConfig.from_dict(json.loads(block.group(1)))
+        assert config.config_hash() == "37a71a4f63a970e0"
+        assert [m.name for m in config.models] == [
+            "popularity", "random", "slim", "wrmf", "multivae",
+        ]
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("seed",), 1.7, "seed must be int"),
+        (("top_n",), True, "top_n must be int"),
+        (("ap_k",), "5", "ap_k must be int or null"),
+        (("split", "holdout_fraction"), "0.2", "split.holdout_fraction must be float"),
+        (("dataset", "synthetic", "profile_size_range"), [4, 10, 12],
+         "profile_size_range must have 2 entries"),
+        (("dataset", "synthetic", "profile_size_range"), [4, 10.0],
+         r"profile_size_range\[1\] must be int"),
+        (("dataset", "synthetic", "mainstream_mix"), [0.3, None, 2.2],
+         r"mainstream_mix\[1\] must be float"),
+        (("models",), {"name": "popularity"}, "models must be list"),
+        (("models",), [{"name": "wrmf", "grid": {"factors": 4}}], r"models\[0\].grid must be list"),
+        (("models",), [{"name": "wrmf", "grid": [4]}], r"models\[0\].grid\[0\] must be dict"),
+        (("models",), [{"name": "slim", "hyperparams": {"l1": 1.0}}],
+         r"'models\[0\].hyperparams.l1'"),
+        (("models",), [{"name": "wrmf", "grid": [{"factors": 4}, {"factor": 4}]}],
+         r"'models\[0\].grid\[1\].factor'"),
+        (("models",), [{"name": "wrmf", "hyperparams": {"factors": 4.0}}],
+         r"models\[0\].hyperparams.factors must be int"),
+        (("models",), [{"name": "slim", "grid": [{"binarize": 1}]}],
+         r"models\[0\].grid\[0\].binarize must be bool"),
+        (("models",), [{"name": "popularity", "hyperparams": {"weighting": None}}],
+         r"weighting must be str"),
+    ])
+    def test_wrong_types_and_names_rejected(self, path, value, message):
+        raw = tiny_raw_config()
+        section = raw
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig.from_dict(raw)
+
+    def test_numbers_accept_integers(self):
+        raw = tiny_raw_config()
+        raw["dataset"]["synthetic"].update(zipf_exponent=1, mainstream_mix=[0, 1, 2])
+        config = ExperimentConfig.from_dict(raw)
+        assert config.synthetic.zipf_exponent == 1
+        assert config.synthetic.mainstream_mix == (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_renamed_key_always_rejected(self, data):
+        raw = tiny_raw_config()
+        section, key, path = data.draw(st.sampled_from(list(_keys(raw))))
+        new = data.draw(st.text(min_size=1, max_size=12).filter(lambda k: k not in CONFIG_KEYS))
+        section[new] = section.pop(key)
+        where = f"{path}.{new}" if path else new
+        with pytest.raises(ValidationError, match=re.escape(repr(where))):
             ExperimentConfig.from_dict(raw)
 
     def test_default_ap_k(self):

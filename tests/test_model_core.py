@@ -13,10 +13,8 @@ from popbias.models import (
     RandomRecommender,
     SlimRecommender,
     WrmfRecommender,
-    load_model,
     rank_candidates,
     recommend_top_n,
-    save_model,
 )
 
 import ranking_reference
@@ -206,47 +204,3 @@ class TestPopularityDominance:
         diff = np.mean(per_user_rec) - np.mean(per_user_cand)
         stderr = np.std(per_user_rec, ddof=1) / np.sqrt(len(per_user_rec))
         assert abs(diff) <= 3 * stderr
-
-
-class TestPersistence:
-    def fit_models(self, train):
-        return [
-            PopularityRecommender().fit(train),
-            RandomRecommender(seed=5).fit(train),
-            SlimRecommender(l1_penalty=0.05, l2_penalty=0.05).fit(train),
-            WrmfRecommender(factors=6, sweeps=3, init_seed=2).fit(train),
-            MultiVaeRecommender(latent_dim=4, hidden_dim=8, epochs=2,
-                                batch_size=4, init_seed=2).fit(train),
-        ]
-
-    def test_round_trip_scores_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(17)
-        ds = random_dataset(rng, num_users=8, num_artists=12)
-        for model in self.fit_models(ds):
-            path = tmp_path / f"{model.model_type}.npz"
-            save_model(model, path)
-            loaded = load_model(path, train=ds)
-            for u in range(ds.num_users):
-                a = model.score_user(u)
-                b = loaded.score_user(u)
-                assert a.tobytes() == b.tobytes(), model.model_type
-
-    def test_unfitted_model_cannot_save(self, tmp_path):
-        with pytest.raises(ValidationError):
-            save_model(PopularityRecommender(), tmp_path / "x.npz")
-
-    def test_bad_container_rejected(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, foo=np.arange(3))
-        with pytest.raises(ValidationError, match="not a model container"):
-            load_model(path)
-
-    def test_score_without_train_binding_raises(self, tmp_path):
-        rng = np.random.default_rng(18)
-        ds = random_dataset(rng, num_users=5, num_artists=8)
-        model = SlimRecommender(l1_penalty=0.05, l2_penalty=0.05).fit(ds)
-        path = tmp_path / "slim.npz"
-        save_model(model, path)
-        loaded = load_model(path)
-        with pytest.raises(ValidationError, match="bind_train"):
-            loaded.score_user(0)
