@@ -30,20 +30,21 @@ def _candidate_pattern(gram, col_norms, non_negative):
 
     Under non-negativity a coordinate that never co-occurs with the column has
     optimum 0, so the pattern is that of G; the signed path visits every pair
-    of artists with plays.
+    of artists with plays.  Artist indices always fit in int32, which halves
+    the index memory of the signed path's all-pairs pattern.
     """
     if non_negative:
         coo = gram.tocoo()
         rows, cols, vals = coo.row, coo.col, coo.data
     else:
-        live = np.flatnonzero(col_norms > 0)
+        live = np.flatnonzero(col_norms > 0).astype(np.int32)
         rows = np.repeat(live, live.size)
         cols = np.tile(live, live.size)
         vals = gram[live][:, live].toarray().ravel()
     off = rows != cols
     indptr = np.zeros(col_norms.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows[off], minlength=col_norms.size), out=indptr[1:])
-    return indptr, cols[off].astype(np.int64, copy=False), vals[off]
+    return indptr, cols[off].astype(np.int32, copy=False), vals[off]
 
 
 def _coordinate_descent(indptr, cols, corr, col_norms, l1, l2, non_negative,
@@ -59,8 +60,12 @@ def _coordinate_descent(indptr, cols, corr, col_norms, l1, l2, non_negative,
     num_artists = col_norms.size
     row_len = np.diff(indptr)
     # flip[p] is the position of (i, j) for the entry p = (j, i); the
-    # pattern is symmetric, so row i lists the columns that visit i.
-    flip = np.lexsort((np.repeat(np.arange(num_artists), row_len), cols))
+    # pattern is symmetric, so row i lists the columns that visit i.  Entries
+    # are stored by ascending row, so a stable sort by column orders each
+    # column's entries by row.
+    flip = np.argsort(cols, kind="stable")
+    if cols.size < 2**31:
+        flip = flip.astype(np.int32)
     w = np.zeros(cols.size)
     partial = np.zeros(cols.size)
     gram_row = np.zeros(num_artists)
@@ -73,7 +78,10 @@ def _coordinate_descent(indptr, cols, corr, col_norms, l1, l2, non_negative,
         visit[cols[np.repeat(active, row_len)]] = True
         for i in np.flatnonzero(visit):
             lo, hi = indptr[i], indptr[i + 1]
-            js, at = cols[lo:hi], flip[lo:hi]
+            # stored as int32, indexed as intp: NumPy casts other index types
+            # on every use, which costs more than one cast per step
+            row = cols[lo:hi].astype(np.intp)
+            js, at = row, flip[lo:hi].astype(np.intp)
             is_active = active[js]
             if not is_active.all():
                 js, at = js[is_active], at[is_active]
@@ -96,10 +104,10 @@ def _coordinate_descent(indptr, cols, corr, col_norms, l1, l2, non_negative,
                 starts, lens = indptr[jm], row_len[jm]
                 ends = np.cumsum(lens)
                 pos = np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])
-                gram_row[cols[lo:hi]] = corr[lo:hi]
+                gram_row[row] = corr[lo:hi]
                 gram_row[i] = col_norms[i]
-                partial[pos] += np.repeat(delta, lens) * gram_row[cols[pos]]
-                gram_row[cols[lo:hi]] = 0.0
+                partial[pos] += np.repeat(delta, lens) * gram_row[cols[pos].astype(np.intp)]
+                gram_row[row] = 0.0
                 gram_row[i] = 0.0
             if trace is not None:
                 for j in js.tolist():

@@ -5,17 +5,23 @@ c_ui = 1 + alpha * count (or a log variant) in
 
     sum_{u,i} c_ui (p_ui - x_u . y_i)^2 + ridge * (||X||^2 + ||Y||^2)
 
-Each half-sweep solves every row's ridge-regularized normal equations
-exactly with a dense Cholesky factorization of the d x d system, using the
-standard decomposition Y^T C_u Y = Y^T Y + Y^T (C_u - I) Y over observed
-items only.
+Each half-sweep solves every non-empty row's ridge-regularized normal
+equations exactly, using the standard decomposition
+Y^T C_u Y = Y^T Y + Y^T (C_u - I) Y over observed items only: one dense d x d
+system per row, factored and solved by LAPACK ``potrf``/``potrs`` called
+directly.  SciPy's ``cho_factor``/``cho_solve`` call the same routines, but
+their per-call argument handling costs more than the LAPACK work at these
+sizes.  The confidence arrays c - 1 and c are computed and checked once per
+fit for each orientation of the counts matrix.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ..corpus import InteractionDataset
 from ..errors import NumericalError, ValidationError
@@ -28,6 +34,46 @@ def _confidence_minus_one(counts: np.ndarray, alpha: float, confidence: str) -> 
     if confidence == "linear":
         return alpha * counts
     return alpha * np.log1p(counts)
+
+
+def _confidences(mat: sp.csr_matrix, alpha: float, confidence: str):
+    """``(c - 1, c)`` for every stored entry of ``mat``, in storage order."""
+    extra = _confidence_minus_one(np.asarray(mat.data, dtype=np.float64), alpha, confidence)
+    conf = 1.0 + extra
+    if not np.all(np.isfinite(conf)):
+        raise NumericalError(f"confidence 1 + alpha * f(count) overflows at alpha={alpha:g}")
+    return extra, conf
+
+
+def _solve_rows(mat, other, ridge, extra, conf):
+    """Per-row exact solves given the confidences of ``mat``'s entries."""
+    n = mat.shape[0]
+    d = other.shape[1]
+    gram = other.T @ other + ridge * np.eye(d)
+    out = np.zeros((n, d))
+    indptr, indices = mat.indptr, mat.indices
+    rows = np.flatnonzero(np.diff(indptr))
+    for i, lo, hi in zip(rows.tolist(), indptr[rows].tolist(), indptr[rows + 1].tolist()):
+        observed = other[indices[lo:hi]]
+        system = gram + observed.T @ (extra[lo:hi, None] * observed)
+        # potrf does not reject inf or NaN, and a system with an overflowed
+        # entry can factor into finite garbage.  One sum is cheaper than an
+        # elementwise test; it also rejects entries summing past the float range.
+        if not math.isfinite(system.sum()):
+            raise NumericalError(f"non-finite normal equations at row {i}")
+        factor, info = dpotrf(system, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise NumericalError(
+                f"singular normal equations at row {i}: "
+                f"leading minor {info} is not positive definite"
+            )
+        # potrs fails only on an illegal argument, which a d x d factor and a
+        # length-d right-hand side cannot be
+        out[i] = dpotrs(factor, observed.T @ conf[lo:hi], lower=1, overwrite_b=1)[0]
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:  # e.g. an overflowed right-hand side
+        raise NumericalError(f"non-finite solution at row {bad[0]}")
+    return out
 
 
 def solve_factors(
@@ -43,26 +89,7 @@ def solve_factors(
     matrix for items); ``other`` is the fixed opposite factor matrix.  Rows
     with no observations come out exactly zero, which is their minimizer.
     """
-    n = mat.shape[0]
-    d = other.shape[1]
-    gram = other.T @ other + ridge * np.eye(d)
-    out = np.zeros((n, d))
-    indptr, indices, data = mat.indptr, mat.indices, mat.data
-    for i in range(n):
-        lo, hi = indptr[i], indptr[i + 1]
-        if lo == hi:
-            continue
-        cols = indices[lo:hi]
-        extra = _confidence_minus_one(data[lo:hi].astype(np.float64), alpha, confidence)
-        observed = other[cols]
-        system = gram + observed.T @ (extra[:, None] * observed)
-        rhs = observed.T @ (1.0 + extra)
-        try:
-            factor = scipy.linalg.cho_factor(system, lower=True)
-        except scipy.linalg.LinAlgError as exc:  # cannot happen for ridge > 0
-            raise NumericalError(f"singular normal equations at row {i}: {exc}") from exc
-        out[i] = scipy.linalg.cho_solve(factor, rhs)
-    return out
+    return _solve_rows(mat, other, ridge, *_confidences(mat, alpha, confidence))
 
 
 def wrmf_objective(
@@ -143,17 +170,19 @@ class WrmfRecommender(RecommenderModel):
     def fit(self, train: InteractionDataset):
         counts = train.counts.astype(np.float64).tocsr()
         counts_t = counts.T.tocsr()
+        by_user = _confidences(counts, self.alpha, self.confidence)
+        by_item = _confidences(counts_t, self.alpha, self.confidence)
         rng = np.random.default_rng(self.init_seed)
         X = rng.uniform(-0.01, 0.01, size=(train.num_users, self.factors))
         Y = rng.uniform(-0.01, 0.01, size=(train.num_artists, self.factors))
         self.objective_trace_ = []
         for _ in range(self.sweeps):
-            X = solve_factors(counts, Y, self.alpha, self.ridge, self.confidence)
+            X = _solve_rows(counts, Y, self.ridge, *by_user)
             if self.track_objective:
                 self.objective_trace_.append(
                     wrmf_objective(train, X, Y, self.alpha, self.ridge, self.confidence)
                 )
-            Y = solve_factors(counts_t, X, self.alpha, self.ridge, self.confidence)
+            Y = _solve_rows(counts_t, X, self.ridge, *by_item)
             if self.track_objective:
                 self.objective_trace_.append(
                     wrmf_objective(train, X, Y, self.alpha, self.ridge, self.confidence)

@@ -112,6 +112,15 @@ def test_run_all_grid_points_failing_exits_3(tmp_path, capsys):
     assert "stage" in capsys.readouterr().err
 
 
+def test_run_overflowing_confidence_exits_3(tmp_path, capsys):
+    config = run_config(tmp_path, [
+        {"name": "wrmf", "hyperparams": {"alpha": 1e308, "factors": 2, "sweeps": 1}},
+    ])
+    with np.errstate(over="ignore"):
+        assert main(["run", "--config", str(config)]) == 3
+    assert "confidence" in capsys.readouterr().err
+
+
 def test_tune_command(tmp_path, capsys):
     config = run_config(tmp_path, [
         {"name": "wrmf", "grid": [

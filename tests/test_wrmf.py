@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from pytest import approx
 
-from popbias.errors import ValidationError
+from popbias.errors import NumericalError, ValidationError
 from popbias.models import WrmfRecommender, solve_factors, wrmf_objective
 
 from conftest import make_dataset, random_dataset
+from wrmf_reference import reference_factors, reference_solve_factors
 
 TOY_COUNTS = np.array([
     [3, 0, 1, 0],
@@ -15,6 +17,19 @@ TOY_COUNTS = np.array([
     [2, 0, 0, 3],
 ])
 TOY = make_dataset(TOY_COUNTS)
+
+
+def random_counts(rng, num_rows, num_cols):
+    """CSR counts whose rows include empty and one-entry rows."""
+    lengths = rng.integers(0, num_cols + 1, size=num_rows)
+    lengths[:2] = 0, 1
+    rng.shuffle(lengths)
+    indices = np.concatenate(
+        [np.sort(rng.choice(num_cols, size=k, replace=False)) for k in lengths]
+    )
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    data = rng.integers(1, 40, size=indices.size).astype(np.float64)
+    return sp.csr_matrix((data, indices, indptr), shape=(num_rows, num_cols))
 
 
 def dense_solve_side(counts, other, alpha, ridge):
@@ -70,6 +85,35 @@ class TestSolves:
         X = rng.standard_normal((2, 2))
         Y = solve_factors(ds.counts.astype(float).T.tocsr(), X, 1.0, 0.5)
         assert np.array_equal(Y[2], np.zeros(2))
+
+    @pytest.mark.parametrize("confidence", ["linear", "log"])
+    @pytest.mark.parametrize("d", [1, 3, 32])
+    def test_matches_reference_solver_byte_for_byte(self, confidence, d):
+        rng = np.random.default_rng([d, len(confidence)])
+        for trial in range(6):
+            mat = random_counts(rng, int(rng.integers(2, 30)), int(rng.integers(1, 50)))
+            other = rng.standard_normal((mat.shape[1], d)) * rng.uniform(0.01, 3.0)
+            alpha, ridge = rng.uniform(0.1, 40.0), rng.uniform(0.01, 2.0)
+            got = solve_factors(mat, other, alpha, ridge, confidence)
+            want = reference_solve_factors(mat, other, alpha, ridge, confidence)
+            assert got.tobytes() == want.tobytes()
+
+    def test_overflowed_system_raises_naming_row(self):
+        # y^2 overflows the system; without a check potrf factors the inf
+        # into finite garbage
+        mat = sp.csr_matrix(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        other = np.array([[1.0, 0.0], [1e200, 1.0]])
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalError, match="non-finite normal equations at row 1"):
+            solve_factors(mat, other, 1.0, 0.1)
+
+    def test_overflowed_right_hand_side_raises_naming_row(self):
+        # c = 1.7e308 is finite and so is c * y^2, but c * y summed over
+        # two items is not
+        mat = sp.csr_matrix(np.array([[1.0, 1.0]]))
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalError, match="non-finite solution at row 0"):
+            solve_factors(mat, np.array([[0.6], [0.6]]), 1.7e308, 0.1)
 
     def test_updated_rows_are_conditional_minimizers(self):
         rng = np.random.default_rng(3)
@@ -133,6 +177,25 @@ class TestFit:
         b = WrmfRecommender(factors=4, sweeps=3, init_seed=7).fit(TOY)
         assert a.user_factors_.tobytes() == b.user_factors_.tobytes()
         assert a.item_factors_.tobytes() == b.item_factors_.tobytes()
+
+    @pytest.mark.parametrize("confidence", ["linear", "log"])
+    def test_matches_reference_fit_byte_for_byte(self, zipf_split, confidence):
+        model = WrmfRecommender(factors=8, alpha=5.0, ridge=0.3, sweeps=3,
+                                init_seed=2, confidence=confidence).fit(zipf_split.train)
+        X, Y = reference_factors(model, zipf_split.train)
+        assert model.user_factors_.tobytes() == X.tobytes()
+        assert model.item_factors_.tobytes() == Y.tobytes()
+
+    def test_overflowing_confidence_raises_numerical_error(self):
+        ds = make_dataset([[3, 0, 1], [0, 2, 1]])
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="confidence"):
+            WrmfRecommender(alpha=1e308).fit(ds)
+
+    def test_singular_system_names_row(self):
+        # c ~ 1e200 swamps the ridge: Cholesky cancels to a non-positive pivot
+        ds = make_dataset([[3, 0, 1], [0, 2, 1]])
+        with pytest.raises(NumericalError, match="row 0"):
+            WrmfRecommender(alpha=1e200).fit(ds)
 
     def test_log_confidence_variant_fits(self):
         model = WrmfRecommender(factors=2, sweeps=2, confidence="log",
