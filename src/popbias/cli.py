@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: ingest, synth, split, tune, run, gapcalc, tailplot.  Exit codes:
-0 success, 2 validation/parse error, 3 numerical or other processing error.
+0 success; 2 validation/parse error, including an input that cannot be read
+or is not UTF-8 and an output path that cannot be written; 3 numerical or
+other processing error.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from .corpus import (
     generate_synthetic,
     ingest_interactions,
     long_tail_stats,
+    read_lines,
     split_mask,
     write_interactions,
+    write_lines,
 )
 from .errors import PopBiasError, ValidationError
 from .harness import (
@@ -34,14 +38,9 @@ from .harness.experiment import _load_dataset
 
 def _load_config(args) -> ExperimentConfig:
     try:
-        fh = open(args.config, encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {args.config}: {exc}") from exc
-    with fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{args.config}: invalid JSON: {exc}") from exc
+        raw = json.loads("".join(read_lines(args.config)))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{args.config}: invalid JSON: {exc}") from exc
     if getattr(args, "seed", None) is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
     return ExperimentConfig.from_dict(raw)
@@ -70,7 +69,6 @@ def _cmd_synth(args) -> int:
     )
     dataset = generate_synthetic(config, args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     interactions = out / "interactions.tsv"
     groups = out / "groups.tsv"
     write_interactions(dataset, interactions, groups)
@@ -83,14 +81,11 @@ def _cmd_split(args) -> int:
     dataset = ingest_interactions(args.data, args.groups)
     split = split_mask(dataset, args.fraction, args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     train_path = out / "train.tsv"
     masked_path = out / "masked.tsv"
     write_interactions(split.train, train_path)
-    with open(masked_path, "w", encoding="utf-8") as fh:
-        for u, hidden in enumerate(split.masked):
-            for artist in hidden:
-                fh.write(f"{dataset.users[u]}\t{dataset.artists[artist]}\n")
+    write_lines(masked_path, (f"{dataset.users[u]}\t{dataset.artists[artist]}"
+                              for u, hidden in enumerate(split.masked) for artist in hidden))
     n_masked = sum(len(m) for m in split.masked)
     print(f"train pairs\t{split.train.num_pairs}")
     print(f"masked pairs\t{n_masked}")
@@ -116,12 +111,9 @@ def _cmd_tune(args) -> int:
         print("no model in the config declares a tuning grid", file=sys.stderr)
         return 0
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "tuning.json").write_text(
-            json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {out / 'tuning.json'}")
+        path = write_lines(Path(args.out) / "tuning.json",
+                           [json.dumps(results, indent=2, sort_keys=True)])
+        print(f"wrote {path}")
     return 0
 
 

@@ -3,13 +3,15 @@
 The central object is :class:`InteractionDataset`, a sparse user-by-artist
 play-count matrix with stable identifier maps.  Everything downstream (models,
 metrics, the experiment harness) works on artist/user *indices* into that
-matrix; external identifiers only matter at the file boundary.
+matrix; external identifiers only matter at the file boundary, which is
+:func:`read_lines` and :func:`write_lines` for every file popbias touches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -21,6 +23,9 @@ GROUP_LABELS = ("low", "medium", "high")
 
 # Fractions at which coverage curves are sampled: 1% plus every 5% step.
 COVERAGE_FRACTIONS = (0.01,) + tuple(round(0.05 * i, 2) for i in range(1, 21))
+
+# Counts are stored as int64; a summed count above this cannot be.
+_MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 class InteractionDataset:
@@ -103,7 +108,8 @@ class InteractionDataset:
     def from_records(cls, records, groups: Mapping[str, str] | None = None):
         """Build a dataset from (user_id, artist_id, count) records.
 
-        Duplicate (user, artist) records are summed.  Identifier maps are
+        Duplicate (user, artist) records are summed, and a sum that int64
+        cannot hold is rejected naming the pair.  Identifier maps are
         sorted lexicographically so that datasets built from the same set of
         records compare equal regardless of record order.
         """
@@ -115,7 +121,13 @@ class InteractionDataset:
                     f"count {count} < 1 for user {user_id!r}, artist {artist_id!r}"
                 )
             key = (str(user_id), str(artist_id))
-            by_pair[key] = by_pair.get(key, 0) + count
+            total = by_pair.get(key, 0) + count
+            if total > _MAX_COUNT:
+                raise ValidationError(
+                    f"play count {total} for user {user_id!r}, artist {artist_id!r} "
+                    f"exceeds {_MAX_COUNT}"
+                )
+            by_pair[key] = total
         if not by_pair:
             raise ValidationError("no interaction records")
         users = sorted({u for u, _ in by_pair})
@@ -190,10 +202,8 @@ class TailStats:
 
     def write_coverage(self, path):
         """Export (fraction_of_artists, fraction_of_interactions) pairs as TSV."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# fraction_of_artists\tfraction_of_interactions\n")
-            for f, c in self.coverage_curve:
-                fh.write(f"{f:.6f}\t{c:.6f}\n")
+        return write_lines(path, ["# fraction_of_artists\tfraction_of_interactions"]
+                           + [f"{f:.6f}\t{c:.6f}" for f, c in self.coverage_curve])
 
 
 @dataclass(frozen=True)
@@ -237,11 +247,57 @@ def _user_rng(seed: int, user: int) -> np.random.Generator:
     return np.random.default_rng([seed, user])
 
 
-def _open_checked(path):
+def read_lines(path, newline=None):
+    """Yield the lines of a UTF-8 text file, each with its line ending.
+
+    ``newline`` is passed to ``open``.  An unreadable file raises
+    ``ValidationError`` and one that is not UTF-8 raises ``ParseError``; both
+    name the path.  Every input popbias reads goes through here.
+    """
     try:
-        return open(path, encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield from fh
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoded chunk, not the file, so it is left out
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def write_lines(path, lines) -> Path:
+    """Write ``lines`` as UTF-8 text, one per line, and return the path.
+
+    The parent directory is created when missing.  A path that cannot be
+    written raises ``ValidationError`` naming it.  Every file popbias writes
+    goes through here.
+    """
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{line}\n" for line in lines)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
+def _tsv_rows(path, width: int):
+    """Yield ``(lineno, fields)`` for each data line of a tab-separated file.
+
+    Blank lines and lines starting with ``#`` are skipped; every other line
+    must hold exactly ``width`` fields.
+    """
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {width} tab-separated fields, "
+                f"got {len(fields)}"
+            )
+        yield lineno, fields
 
 
 def ingest_interactions(path, group_path=None) -> InteractionDataset:
@@ -254,31 +310,20 @@ def ingest_interactions(path, group_path=None) -> InteractionDataset:
     """
     records = []
     first_data_line = True
-    with _open_checked(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected 3 tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            user_id, artist_id, count_str = fields
-            try:
-                count = int(count_str)
-            except ValueError:
-                if first_data_line:
-                    first_data_line = False
-                    continue  # header row
-                raise ParseError(
-                    f"{path}: line {lineno}: count {count_str!r} is not an integer"
-                ) from None
-            first_data_line = False
-            if count < 1:
-                raise ValidationError(f"{path}: line {lineno}: count {count} < 1")
-            records.append((user_id, artist_id, count))
+    for lineno, (user_id, artist_id, count_str) in _tsv_rows(path, 3):
+        try:
+            count = int(count_str)
+        except ValueError:
+            if first_data_line:
+                first_data_line = False
+                continue  # header row
+            raise ParseError(
+                f"{path}: line {lineno}: count {count_str!r} is not an integer"
+            ) from None
+        first_data_line = False
+        if count < 1:
+            raise ValidationError(f"{path}: line {lineno}: count {count} < 1")
+        records.append((user_id, artist_id, count))
     groups = read_group_file(group_path) if group_path is not None else None
     return InteractionDataset.from_records(records, groups)
 
@@ -287,29 +332,16 @@ def read_group_file(path) -> dict[str, str]:
     """Load ``user\\tlabel`` lines mapping users to low/medium/high."""
     groups: dict[str, str] = {}
     first_data_line = True
-    with _open_checked(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected 2 tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            user_id, label = fields
-            if label not in GROUP_LABELS:
-                if first_data_line:
-                    first_data_line = False
-                    continue  # header row
-                raise ParseError(
-                    f"{path}: line {lineno}: unknown group label {label!r}"
-                )
-            first_data_line = False
-            if user_id in groups:
-                raise ValidationError(f"{path}: line {lineno}: duplicate user {user_id!r}")
-            groups[user_id] = label
+    for lineno, (user_id, label) in _tsv_rows(path, 2):
+        if label not in GROUP_LABELS:
+            if first_data_line:
+                first_data_line = False
+                continue  # header row
+            raise ParseError(f"{path}: line {lineno}: unknown group label {label!r}")
+        first_data_line = False
+        if user_id in groups:
+            raise ValidationError(f"{path}: line {lineno}: duplicate user {user_id!r}")
+        groups[user_id] = label
     return groups
 
 
@@ -320,19 +352,17 @@ def write_interactions(dataset: InteractionDataset, path, group_path=None):
     reproduces the dataset whenever its identifier maps are sorted (always
     true for ingested and generated datasets).
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        indptr = dataset.counts.indptr
-        indices = dataset.counts.indices
-        data = dataset.counts.data
-        for u, user_id in enumerate(dataset.users):
-            for k in range(indptr[u], indptr[u + 1]):
-                fh.write(f"{user_id}\t{dataset.artists[indices[k]]}\t{data[k]}\n")
+    if group_path is not None and dataset.group_labels is None:
+        raise ValidationError("dataset has no group labels to write")
+    indptr, indices, data = dataset.counts.indptr, dataset.counts.indices, dataset.counts.data
+    write_lines(path, (
+        f"{user_id}\t{dataset.artists[indices[k]]}\t{data[k]}"
+        for u, user_id in enumerate(dataset.users)
+        for k in range(indptr[u], indptr[u + 1])
+    ))
     if group_path is not None:
-        if dataset.group_labels is None:
-            raise ValidationError("dataset has no group labels to write")
-        with open(group_path, "w", encoding="utf-8") as fh:
-            for user_id, label in zip(dataset.users, dataset.group_labels):
-                fh.write(f"{user_id}\t{label}\n")
+        write_lines(group_path, (f"{user_id}\t{label}"
+                                 for user_id, label in zip(dataset.users, dataset.group_labels)))
 
 
 def compute_popularity(

@@ -18,6 +18,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from types import NoneType
 
@@ -37,6 +38,7 @@ from ..corpus import (
     ingest_interactions,
     long_tail_stats,
     split_mask,
+    write_lines,
 )
 from ..errors import PopBiasError, TuningError, UndefinedMetricError, ValidationError
 # RankedCandidates, auc and average_precision_at_k are not called here: they
@@ -350,15 +352,15 @@ class ExperimentReport:
 
 
 def write_report_files(out_dir, stem: str, text: str, kv_lines) -> tuple[Path, Path]:
-    """Write ``<stem>.txt`` and ``<stem>.kv``; on failure remove what was written."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = (out_dir / f"{stem}.txt", out_dir / f"{stem}.kv")
+    """Write ``<stem>.txt`` and ``<stem>.kv``; on failure remove what was written.
+
+    ``text`` ends with a newline, which ``write_lines`` puts back.
+    """
+    paths = (Path(out_dir) / f"{stem}.txt", Path(out_dir) / f"{stem}.kv")
     written = []
     try:
-        for path, content in zip(paths, (text, "\n".join(kv_lines) + "\n")):
-            path.write_text(content, encoding="utf-8")
-            written.append(path)
+        for path, lines in zip(paths, ([text.removesuffix("\n")], kv_lines)):
+            written.append(write_lines(path, lines))
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)
@@ -374,21 +376,28 @@ def _group_indices(group_labels: list[str], num_users: int) -> dict[str, np.ndar
     return groups
 
 
-def _positive_ranks(ordering: np.ndarray, positives: np.ndarray,
-                    is_positive: np.ndarray) -> np.ndarray:
-    """Ascending positions in ``ordering`` of the held-out ``positives``.
+def _ranked_users(model, split: SplitDataset):
+    """Yield ``(ordering, ranks)`` for every user, in user order.
 
-    ``is_positive`` is an all-False scratch mask over the artists, reused
-    across users and left all-False on return.  Raises ``ValidationError``
-    when a positive is not among the candidates, as ``RankedCandidates`` does.
+    ``ordering`` ranks the user's candidates (profile excluded); ``ranks``
+    holds the ascending positions in it of the held-out artists, or is None
+    when the user has no held-out artist or no negative candidate.  Raises
+    ``ValidationError`` when a held-out artist is not among the candidates,
+    as ``RankedCandidates`` does.
     """
-    is_positive[positives] = True
-    ranks = np.flatnonzero(is_positive[ordering])
-    num_positives = np.count_nonzero(is_positive)
-    is_positive[positives] = False
-    if len(ranks) != num_positives:
-        raise ValidationError("positives are not a subset of the candidates")
-    return ranks
+    is_positive = np.zeros(split.train.num_artists, dtype=bool)  # all-False between users
+    for u, positives in enumerate(split.masked):
+        ordering = rank_candidates(model.score_user(u), exclude=split.train.profile(u))
+        if len(positives) == 0 or len(ordering) - len(positives) == 0:
+            yield ordering, None
+            continue
+        is_positive[positives] = True
+        ranks = np.flatnonzero(is_positive[ordering])
+        num_positives = np.count_nonzero(is_positive)
+        is_positive[positives] = False
+        if len(ranks) != num_positives:
+            raise ValidationError("positives are not a subset of the candidates")
+        yield ordering, ranks
 
 
 def evaluate_model(
@@ -408,16 +417,12 @@ def evaluate_model(
     in the ranking, by the same integer formula as ``metrics.auc``.
     """
     num_users = dataset.num_users
-    is_positive = np.zeros(split.train.num_artists, dtype=bool)
     per_user_auc = np.full(num_users, math.nan)
     tops = []
-    for u in range(num_users):
-        ordering = rank_candidates(model.score_user(u), exclude=split.train.profile(u))
+    for u, (ordering, ranks) in enumerate(_ranked_users(model, split)):
         tops.append(ordering[:top_n].copy())  # a view would keep the whole ordering alive
-        positives = split.masked[u]
-        if len(positives) == 0 or len(ordering) - len(positives) == 0:
+        if ranks is None:
             continue
-        ranks = _positive_ranks(ordering, positives, is_positive)
         p = len(ranks)
         n = len(ordering) - p
         # concordant pairs = sum over positives of negatives ranked below them
@@ -462,16 +467,10 @@ def _mean_ap(model, split: SplitDataset, k: int) -> float | None:
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    is_positive = np.zeros(split.train.num_artists, dtype=bool)
     values = []
-    for u in range(split.train.num_users):
-        positives = split.masked[u]
-        if len(positives) == 0:
+    for _, ranks in _ranked_users(model, split):
+        if ranks is None:
             continue
-        ordering = rank_candidates(model.score_user(u), exclude=split.train.profile(u))
-        if len(ordering) - len(positives) == 0:
-            continue
-        ranks = _positive_ranks(ordering, positives, is_positive)
         total = 0.0
         for hits, rank0 in enumerate(ranks[: np.searchsorted(ranks, k)].tolist(), start=1):
             total += hits / (rank0 + 1)
@@ -596,16 +595,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
 
 def emit_tail_plot_data(dataset: InteractionDataset, out_dir):
     """Write the popularity-by-rank series and the coverage curve as TSV files."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     pop = compute_popularity(dataset)
     order = np.lexsort((np.arange(dataset.num_artists), -pop.phi))
-    rank_path = out_dir / "tail_rank_phi.tsv"
-    with open(rank_path, "w", encoding="utf-8") as fh:
-        fh.write("# rank\tphi\n")
-        for rank, artist in enumerate(order, start=1):
-            fh.write(f"{rank}\t{pop.phi[artist]:.6f}\n")
+    rank_path = write_lines(Path(out_dir) / "tail_rank_phi.tsv", chain(["# rank\tphi"], (
+        f"{rank}\t{pop.phi[artist]:.6f}" for rank, artist in enumerate(order, start=1)
+    )))
     stats = long_tail_stats(dataset)
-    coverage_path = out_dir / "tail_coverage.tsv"
-    stats.write_coverage(coverage_path)
+    coverage_path = stats.write_coverage(Path(out_dir) / "tail_coverage.tsv")
     return stats, (rank_path, coverage_path)

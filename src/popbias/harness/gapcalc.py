@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import t as t_dist
 
-from ..corpus import GROUP_LABELS
+from ..corpus import GROUP_LABELS, read_lines
 from ..errors import ParseError, ValidationError
 from ..metrics import delta_gap
 from .experiment import write_report_files
@@ -73,42 +73,37 @@ def _parse_float(text: str, lo: float, hi: float, what: str, lineno: int) -> flo
 def read_simulated_records(path) -> list[SimulatedUserRecord]:
     """Load and validate the simulated-user CSV (header required)."""
     records = []
+    reader = csv.reader(read_lines(path, newline=""))
     try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != EXPECTED_HEADER:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    if [h.strip() for h in header] != EXPECTED_HEADER:
+        raise ParseError(
+            f"{path}: line 1: expected header {','.join(EXPECTED_HEADER)}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(EXPECTED_HEADER):
             raise ParseError(
-                f"{path}: line 1: expected header {','.join(EXPECTED_HEADER)}"
+                f"{path}: line {lineno}: expected {len(EXPECTED_HEADER)} fields, "
+                f"got {len(row)}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(EXPECTED_HEADER):
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {len(EXPECTED_HEADER)} fields, "
-                    f"got {len(row)}"
-                )
-            service, user, group, role, artist, spotify, lfm = (c.strip() for c in row)
-            if group not in GROUP_LABELS:
-                raise ValidationError(f"{path}: line {lineno}: unknown group {group!r}")
-            if role not in ROLES:
-                raise ValidationError(f"{path}: line {lineno}: unknown role {role!r}")
-            spotify_val = _parse_float(spotify, 0.0, 100.0, "spotify_popularity", lineno)
-            lfm_val = _parse_float(lfm, 0.0, 1.0, "lfm_phi", lineno)
-            if spotify_val is None and lfm_val is None:
-                raise ValidationError(
-                    f"{path}: line {lineno}: record has no popularity value"
-                )
-            records.append(
-                SimulatedUserRecord(service, user, group, role, artist, spotify_val, lfm_val)
+        service, user, group, role, artist, spotify, lfm = (c.strip() for c in row)
+        if group not in GROUP_LABELS:
+            raise ValidationError(f"{path}: line {lineno}: unknown group {group!r}")
+        if role not in ROLES:
+            raise ValidationError(f"{path}: line {lineno}: unknown role {role!r}")
+        spotify_val = _parse_float(spotify, 0.0, 100.0, "spotify_popularity", lineno)
+        lfm_val = _parse_float(lfm, 0.0, 1.0, "lfm_phi", lineno)
+        if spotify_val is None and lfm_val is None:
+            raise ValidationError(
+                f"{path}: line {lineno}: record has no popularity value"
             )
+        records.append(
+            SimulatedUserRecord(service, user, group, role, artist, spotify_val, lfm_val)
+        )
     if not records:
         raise ValidationError(f"{path}: no records")
     _check_roles(records)

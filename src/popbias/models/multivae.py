@@ -169,7 +169,6 @@ class MultiVaeRecommender(RecommenderModel):
         batch_size: int = 64,
         learning_rate: float = 0.5,
         dropout_keep: float = 0.5,
-        momentum: float = 0.0,
         init_seed: int = 0,
     ):
         if latent_dim < 1 or hidden_dim < 1:
@@ -184,8 +183,6 @@ class MultiVaeRecommender(RecommenderModel):
             raise ValidationError("learning_rate must be > 0")
         if not 0.0 < dropout_keep <= 1.0:
             raise ValidationError("dropout_keep must be in (0, 1]")
-        if not 0.0 <= momentum < 1.0:
-            raise ValidationError("momentum must be in [0, 1)")
         if init_seed < 0:
             raise ValidationError("init_seed must be a non-negative integer")
         self.latent_dim = int(latent_dim)
@@ -196,7 +193,6 @@ class MultiVaeRecommender(RecommenderModel):
         self.batch_size = int(batch_size)
         self.learning_rate = float(learning_rate)
         self.dropout_keep = float(dropout_keep)
-        self.momentum = float(momentum)
         self.init_seed = int(init_seed)
         self.num_artists_ = None
         self.params_ = None
@@ -219,9 +215,6 @@ class MultiVaeRecommender(RecommenderModel):
         seq = np.random.SeedSequence(self.init_seed)
         init_rng, order_rng, noise_rng, drop_rng = map(np.random.default_rng, seq.spawn(4))
         params = init_params(train.num_artists, self.hidden_dim, self.latent_dim, init_rng)
-        velocity = None
-        if self.momentum > 0:
-            velocity = {k: np.zeros_like(v) for k, v in params.items()}
         step = 0
         self.loss_curve_ = []
         for epoch in range(self.epochs):
@@ -242,13 +235,8 @@ class MultiVaeRecommender(RecommenderModel):
                     raise NumericalError(
                         f"non-finite loss at epoch {epoch}, batch {bi}"
                     )
-                if velocity is None:
-                    for key in PARAM_KEYS:
-                        params[key] -= self.learning_rate * grads[key]
-                else:
-                    for key in PARAM_KEYS:
-                        velocity[key] = self.momentum * velocity[key] - self.learning_rate * grads[key]
-                        params[key] += velocity[key]
+                for key in PARAM_KEYS:
+                    params[key] -= self.learning_rate * grads[key]
                 step += 1
                 epoch_losses.append(total)
             self.loss_curve_.append(float(np.mean(epoch_losses)))

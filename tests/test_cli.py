@@ -45,6 +45,64 @@ def test_ingest_bad_line_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_ingest_count_beyond_int64_exits_2(tmp_path, capsys):
+    big = write(tmp_path / "big.tsv", "u1\ta1\t5\nu2\ta7\t99999999999999999999\n")
+    assert main(["ingest", "--data", str(big)]) == 2
+    err = capsys.readouterr().err
+    assert "user 'u2', artist 'a7'" in err
+    assert "Traceback" not in err
+
+
+# argv templates reading one non-UTF-8 file {bad}; {data} is a valid interactions file
+@pytest.mark.parametrize("argv, content", [
+    (["ingest", "--data", "{bad}"], b"u1\tcaf\xe9\t5\n"),
+    (["ingest", "--data", "{data}", "--groups", "{bad}"], b"u1\tlow\nu2\tcaf\xe9\n"),
+    (["gapcalc", "--records", "{bad}"],
+     HEADER.encode() + b"\nspotify,a,low,profile-seed,caf\xe9,50,0.5\n"),
+    (["run", "--config", "{bad}"], b'{"seed": 3, "note": "caf\xe9"}\n'),
+], ids=["interactions", "groups", "sessions", "config"])
+def test_input_not_utf8_exits_2(tmp_path, data_file, capsys, argv, content):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(content)
+    assert main([arg.format(bad=bad, data=data_file) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: not UTF-8" in err
+    assert "Traceback" not in err
+
+
+# each subcommand's arguments, minus --out
+OUT_COMMANDS = {
+    "run": lambda tmp, data: ["run", "--config", str(run_config(tmp, [{"name": "popularity"}]))],
+    "tune": lambda tmp, data: [
+        "tune", "--config", str(run_config(tmp, [{"name": "popularity", "grid": [{}]}]))],
+    "gapcalc": lambda tmp, data: ["gapcalc", "--records", str(records_file(tmp))],
+    "synth": lambda tmp, data: ["synth", "--users", "3", "--artists", "5",
+                                "--profile-min", "1", "--profile-max", "2"],
+    "split": lambda tmp, data: ["split", "--data", str(data)],
+    "tailplot": lambda tmp, data: ["tailplot", "--data", str(data)],
+    "ingest": lambda tmp, data: ["ingest", "--data", str(data)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_under_a_regular_file_exits_2(tmp_path, data_file, capsys, command):
+    argv = OUT_COMMANDS[command](tmp_path, data_file) + ["--out", str(data_file / "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {data_file / 'x'}" in err
+    assert "Traceback" not in err
+
+
+def test_run_failed_report_write_leaves_no_report(tmp_path, capsys):
+    config = run_config(tmp_path, [{"name": "popularity"}])
+    out = tmp_path / "out"
+    (out / "report.kv").mkdir(parents=True)  # report.txt is written, report.kv cannot be
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert f"cannot write {out / 'report.kv'}" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["report.kv"]
+    assert (out / "report.kv").is_dir()
+
+
 def test_synth_then_split_pipeline(tmp_path, capsys):
     out = tmp_path / "synth"
     rc = main([
@@ -134,14 +192,18 @@ def test_tune_command(tmp_path, capsys):
     assert len(saved["wrmf"]["log"]) == 2
 
 
-def test_gapcalc_command(tmp_path, capsys):
-    records = write(tmp_path / "records.csv", "\n".join([
+def records_file(tmp_path):
+    return write(tmp_path / "records.csv", "\n".join([
         HEADER,
         "spotify,a,low,profile-seed,X,50,0.5",
         "spotify,a,low,recommended,Y,60,0.6",
         "spotify,b,high,profile-seed,Z,70,0.7",
         "spotify,b,high,recommended,W,60,0.6",
     ]) + "\n")
+
+
+def test_gapcalc_command(tmp_path, capsys):
+    records = records_file(tmp_path)
     out = tmp_path / "gc"
     assert main(["gapcalc", "--records", str(records), "--out", str(out)]) == 0
     assert (out / "gapcalc.kv").exists()
@@ -169,6 +231,8 @@ def test_tailplot_command(data_file, tmp_path, capsys):
     (lambda raw: raw.update({"top-n": 3}), "unknown config key 'top-n'"),
     (lambda raw: raw.update(seed=1.7), "seed must be int"),
     (lambda raw: raw.update(threads=2), "unknown config key 'threads'"),
+    (lambda raw: raw.update(models=[{"name": "multivae", "hyperparams": {"momentum": 0.9}}]),
+     r"unknown config key 'models\[0\].hyperparams.momentum'"),
 ])
 def test_run_malformed_config_exits_2(tmp_path, capsys, mutate, message):
     config = run_config(tmp_path, [{"name": "popularity"}])

@@ -66,6 +66,22 @@ class TestIngest:
         with pytest.raises(ValidationError, match="line 2"):
             ingest_interactions(f)
 
+    @pytest.mark.parametrize("lines", [
+        ["u1\ta1\t5", "u2\ta7\t99999999999999999999"],
+        ["u1\ta1\t5", f"u2\ta7\t{2**62}", "u1\ta2\t1", f"u2\ta7\t{2**62}"],
+    ], ids=["single", "duplicate-sum"])
+    def test_count_beyond_int64_rejected(self, tmp_path, lines):
+        f = tmp_path / "x.tsv"
+        write_lines(f, lines)
+        with pytest.raises(ValidationError, match="user 'u2', artist 'a7'"):
+            ingest_interactions(f)
+
+    def test_count_summing_to_int64_max_kept(self, tmp_path):
+        f = tmp_path / "x.tsv"
+        write_lines(f, [f"u1\ta1\t{2**62}", "u2\ta1\t1", f"u1\ta1\t{2**62 - 1}"])
+        ds = ingest_interactions(f)
+        assert ds.counts[0, 0] == np.iinfo(np.int64).max
+
     def test_group_file_unknown_user_rejected(self, tmp_path):
         f = tmp_path / "x.tsv"
         g = tmp_path / "g.tsv"

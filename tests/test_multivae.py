@@ -185,7 +185,7 @@ class TestFit:
     def test_hyperparam_validation(self):
         for bad in (
             dict(latent_dim=0), dict(beta_max=1.5), dict(epochs=0),
-            dict(learning_rate=0.0), dict(dropout_keep=0.0), dict(momentum=1.0),
+            dict(learning_rate=0.0), dict(dropout_keep=0.0),
         ):
             with pytest.raises(ValidationError):
                 MultiVaeRecommender(**bad)
