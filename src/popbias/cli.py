@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .corpus import (
     SyntheticConfig,
+    check_writable_dir,
     generate_synthetic,
     ingest_interactions,
     long_tail_stats,
@@ -95,6 +96,8 @@ def _cmd_split(args) -> int:
 
 def _cmd_tune(args) -> int:
     config = _load_config(args)
+    if args.out:
+        check_writable_dir(args.out)
     dataset = _load_dataset(config)
     split = split_mask(dataset, config.holdout_fraction, config.split_seed)
     results = {}

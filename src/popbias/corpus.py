@@ -10,6 +10,7 @@ matrix; external identifiers only matter at the file boundary, which is
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -279,6 +280,24 @@ def write_lines(path, lines) -> Path:
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
     return path
+
+
+def check_writable_dir(path) -> None:
+    """Raise ``ValidationError`` unless ``write_lines`` can create files in ``path``.
+
+    The nearest existing ancestor (``path`` itself when it exists) must be a
+    writable directory.  Nothing is created, so a long run can check its
+    output directory first and still leave nothing behind when it fails.
+    """
+    path = Path(path)
+    try:
+        ancestor = next(p for p in (path, *path.parents) if p.exists())
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+    if not ancestor.is_dir():
+        raise ValidationError(f"cannot write {path}: {ancestor} is not a directory")
+    if not os.access(ancestor, os.W_OK | os.X_OK):
+        raise ValidationError(f"cannot write {path}: {ancestor} is not writable")
 
 
 def _tsv_rows(path, width: int):

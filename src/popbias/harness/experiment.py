@@ -2,8 +2,9 @@
 
 Pipeline: load or generate interactions -> mask a per-user holdout ->
 (optionally grid-tune each model by mean AP@K on an inner validation split)
--> fit -> rank every artist per user with profile exclusion -> per-user AUC
-plus retained top-N -> GAP / delta-GAP per mainstream group -> report.
+-> fit -> per user, the top-N and the held-out artists' positions in the
+ranking of every artist outside the training profile -> per-user AUC ->
+GAP / delta-GAP per mainstream group -> report.
 
 Everything is deterministic given the seeds in the config: rerunning the
 same config reproduces the report byte for byte.
@@ -33,6 +34,7 @@ from ..corpus import (
     SplitDataset,
     SyntheticConfig,
     assign_mainstream_groups,
+    check_writable_dir,
     compute_popularity,
     generate_synthetic,
     ingest_interactions,
@@ -59,6 +61,7 @@ from ..models import (
     RecommenderModel,
     SlimRecommender,
     WrmfRecommender,
+    positive_ranks,
     rank_candidates,
 )
 
@@ -376,28 +379,24 @@ def _group_indices(group_labels: list[str], num_users: int) -> dict[str, np.ndar
     return groups
 
 
-def _ranked_users(model, split: SplitDataset):
-    """Yield ``(ordering, ranks)`` for every user, in user order.
+def _ranked_users(model, split: SplitDataset, top_n: int | None = None):
+    """Yield ``(top, ranks, num_candidates)`` for every user, in user order.
 
-    ``ordering`` ranks the user's candidates (profile excluded); ``ranks``
-    holds the ascending positions in it of the held-out artists, or is None
-    when the user has no held-out artist or no negative candidate.  Raises
-    ``ValidationError`` when a held-out artist is not among the candidates,
-    as ``RankedCandidates`` does.
+    ``top`` holds the user's first ``top_n`` candidates (profile excluded) in
+    rank order, or is None when ``top_n`` is None.  ``ranks`` holds the
+    ascending positions of the held-out artists in the full ranking, or is
+    None when the user has no held-out artist or no negative candidate.  The
+    full ranking itself is never built.  Raises ``ValidationError`` when a
+    held-out artist is not among the candidates, as ``RankedCandidates`` does.
     """
-    is_positive = np.zeros(split.train.num_artists, dtype=bool)  # all-False between users
     for u, positives in enumerate(split.masked):
-        ordering = rank_candidates(model.score_user(u), exclude=split.train.profile(u))
-        if len(positives) == 0 or len(ordering) - len(positives) == 0:
-            yield ordering, None
-            continue
-        is_positive[positives] = True
-        ranks = np.flatnonzero(is_positive[ordering])
-        num_positives = np.count_nonzero(is_positive)
-        is_positive[positives] = False
-        if len(ranks) != num_positives:
-            raise ValidationError("positives are not a subset of the candidates")
-        yield ordering, ranks
+        scores = model.score_user(u)
+        profile = split.train.profile(u)
+        top = None if top_n is None else rank_candidates(scores, exclude=profile, n=top_n)
+        ranks, num_candidates = positive_ranks(scores, profile, positives)
+        if len(positives) == 0 or num_candidates == len(positives):
+            ranks = None
+        yield top, ranks, num_candidates
 
 
 def evaluate_model(
@@ -414,17 +413,18 @@ def evaluate_model(
     Users whose masked set is empty, or whose candidate list has no negative,
     are skipped for AUC and counted; GAP aggregates run over every user with
     a non-empty recommendation list.  AUC comes from where the positives land
-    in the ranking, by the same integer formula as ``metrics.auc``.
+    in the ranking, by the same integer formula as ``metrics.auc``; only the
+    top-N list and those positions are computed, never the full ranking.
     """
     num_users = dataset.num_users
     per_user_auc = np.full(num_users, math.nan)
     tops = []
-    for u, (ordering, ranks) in enumerate(_ranked_users(model, split)):
-        tops.append(ordering[:top_n].copy())  # a view would keep the whole ordering alive
+    for u, (top, ranks, num_candidates) in enumerate(_ranked_users(model, split, top_n)):
+        tops.append(top)
         if ranks is None:
             continue
         p = len(ranks)
-        n = len(ordering) - p
+        n = num_candidates - p
         # concordant pairs = sum over positives of negatives ranked below them
         per_user_auc[u] = (p * n + p * (p - 1) // 2 - int(ranks.sum())) / (p * n)
 
@@ -468,7 +468,7 @@ def _mean_ap(model, split: SplitDataset, k: int) -> float | None:
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     values = []
-    for _, ranks in _ranked_users(model, split):
+    for _, ranks, _ in _ranked_users(model, split):
         if ranks is None:
             continue
         total = 0.0
@@ -538,10 +538,13 @@ def _load_dataset(config: ExperimentConfig) -> InteractionDataset:
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     """Run the full pipeline described in the module docstring.
 
-    When ``out_dir`` is given, writes ``report.txt`` and ``report.kv`` there.
+    When ``out_dir`` is given, writes ``report.txt`` and ``report.kv`` there;
+    an ``out_dir`` that cannot be written is rejected before any stage runs.
     Any stage failure raises with a stage-tagged message and leaves no
     partial report files behind.
     """
+    if out_dir is not None:
+        check_writable_dir(out_dir)
     dataset = _stage("dataset", _load_dataset, config)
     split = _stage("split", split_mask, dataset, config.holdout_fraction, config.split_seed)
     pop_all = _stage("popularity", compute_popularity, dataset)

@@ -58,15 +58,15 @@ class GapEntry:
     p_value: float
 
 
-def _parse_float(text: str, lo: float, hi: float, what: str, lineno: int) -> float | None:
+def _parse_float(text: str, lo: float, hi: float, what: str, path, lineno: int) -> float | None:
     if text is None or text.strip() == "":
         return None
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(f"line {lineno}: {what} {text!r} is not a number") from None
+        raise ParseError(f"{path}: line {lineno}: {what} {text!r} is not a number") from None
     if not lo <= value <= hi:
-        raise ValidationError(f"line {lineno}: {what} {value} outside [{lo}, {hi}]")
+        raise ValidationError(f"{path}: line {lineno}: {what} {value} outside [{lo}, {hi}]")
     return value
 
 
@@ -82,7 +82,8 @@ def read_simulated_records(path) -> list[SimulatedUserRecord]:
         raise ParseError(
             f"{path}: line 1: expected header {','.join(EXPECTED_HEADER)}"
         )
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num  # a quoted field can span lines, so records are not lines
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(EXPECTED_HEADER):
@@ -95,8 +96,8 @@ def read_simulated_records(path) -> list[SimulatedUserRecord]:
             raise ValidationError(f"{path}: line {lineno}: unknown group {group!r}")
         if role not in ROLES:
             raise ValidationError(f"{path}: line {lineno}: unknown role {role!r}")
-        spotify_val = _parse_float(spotify, 0.0, 100.0, "spotify_popularity", lineno)
-        lfm_val = _parse_float(lfm, 0.0, 1.0, "lfm_phi", lineno)
+        spotify_val = _parse_float(spotify, 0.0, 100.0, "spotify_popularity", path, lineno)
+        lfm_val = _parse_float(lfm, 0.0, 1.0, "lfm_phi", path, lineno)
         if spotify_val is None and lfm_val is None:
             raise ValidationError(
                 f"{path}: line {lineno}: record has no popularity value"

@@ -4,6 +4,7 @@ from .base import (
     PopularityRecommender,
     RandomRecommender,
     RecommenderModel,
+    positive_ranks,
     rank_candidates,
     recommend_top_n,
 )
@@ -21,6 +22,7 @@ __all__ = [
     "elbo_loss",
     "gradient",
     "kl_gaussian",
+    "positive_ranks",
     "rank_candidates",
     "recommend_top_n",
     "slim_objective",

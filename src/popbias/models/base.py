@@ -4,6 +4,12 @@ A fitted model exposes ``score_user(u)``: a dense score vector over every
 artist in the training data, higher meaning more recommended.  Ranking ties
 always break by ascending artist index, so a ranking depends on the scores
 alone and reruns reproduce it exactly.
+
+Evaluation reads only two things off that ranking: its first N entries
+(``rank_candidates`` with ``n``) and the positions of the held-out artists
+(``positive_ranks``).  Both are computed exactly without ordering every
+candidate: the first from the candidates at or above the N-th best score, the
+second from one sort of the score values.
 """
 
 from __future__ import annotations
@@ -93,22 +99,29 @@ class RandomRecommender(RecommenderModel):
         return rng.permutation(self.num_artists_).astype(np.float64)
 
 
-def rank_candidates(scores: np.ndarray, exclude=None) -> np.ndarray:
-    """Order artists by descending score, ascending index on ties.
-
-    ``exclude`` (typically the user's training profile) is removed from the
-    returned ordering entirely.  NaN scores rank last, -0.0 ties with 0.0.
-
-    The candidates are ordered by one unstable (SIMD) sort of the negated
-    scores; when scores tie, one integer sort of ``run_start * n + position``
-    then puts each run of equal scores back into ascending index order.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    keep = np.ones(len(scores), dtype=bool)
+def _candidate_mask(num_artists: int, exclude) -> np.ndarray:
+    """True for every artist not in ``exclude``."""
+    keep = np.ones(num_artists, dtype=bool)
     if exclude is not None:
         keep[np.asarray(exclude, dtype=np.int64)] = False
-    candidates = np.flatnonzero(keep)
-    neg = -scores[candidates]
+    return keep
+
+
+def _negated(scores: np.ndarray, exclude) -> np.ndarray:
+    """``-scores`` with every excluded artist set to NaN."""
+    neg = np.negative(scores)
+    if exclude is not None:
+        neg[np.asarray(exclude, dtype=np.int64)] = np.nan
+    return neg
+
+
+def _tie_fixed_order(neg: np.ndarray) -> np.ndarray:
+    """Positions of ``neg`` by ascending value, ascending position on ties.
+
+    One unstable (SIMD) sort, then, when values tie, one integer sort of
+    ``run_start * n + position`` puts each run of equal values back into
+    position order.  NaNs go last as one run; -0.0 ties with 0.0.
+    """
     n = len(neg)
     order = np.argsort(neg)
     ranked = neg[order]
@@ -124,7 +137,64 @@ def rank_candidates(scores: np.ndarray, exclude=None) -> np.ndarray:
         run_start *= n
         order = np.sort(run_start + order)
         order -= run_start
-    return candidates[order]
+    return order
+
+
+def rank_candidates(scores: np.ndarray, exclude=None, n: int | None = None) -> np.ndarray:
+    """Order artists by descending score, ascending index on ties.
+
+    ``exclude`` (typically the user's training profile) is removed from the
+    returned ordering entirely.  NaN scores rank last, -0.0 ties with 0.0.
+    ``n >= 0`` keeps only the first ``n`` entries of that ordering; None keeps
+    all.
+
+    For ``n``, the ``n``-th best negated score comes from ``np.partition``
+    with the excluded artists set to NaN, and only the artists scoring at
+    least that well are ordered.  Every tie at that cut is among them, and no
+    excluded artist is, so their first ``n`` are the first ``n`` of the full
+    ordering.  All candidates are ordered only when ``n`` is None, or when the
+    ``n``-th value is NaN: then fewer than ``n`` candidates have a score.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if n == 0:
+        return np.empty(0, dtype=np.intp)
+    if n is not None and n <= len(scores):
+        neg = _negated(scores, exclude)
+        kth = np.partition(neg, n - 1)[n - 1]
+        if not np.isnan(kth):
+            best = np.flatnonzero(neg <= kth)
+            return best[_tie_fixed_order(neg[best])[:n]]
+    candidates = np.flatnonzero(_candidate_mask(len(scores), exclude))
+    return candidates[_tie_fixed_order(-scores[candidates])[:n]]
+
+
+def positive_ranks(scores: np.ndarray, exclude, positives) -> tuple[np.ndarray, int]:
+    """Positions of ``positives`` in ``rank_candidates(scores, exclude)``, and
+    the candidate count, without ordering the candidates.
+
+    ``positives`` are distinct artist indices; the positions come back in
+    ascending order.  A positive's position is the number of candidates with
+    a better score, found by one ``searchsorted`` into the sorted negated
+    scores (``np.sort`` places NaN last, as the ranking does, and excluded
+    artists count as NaN), plus the candidates tied with it at a lower artist
+    index.  Raises ``ValidationError`` when a positive is not a candidate.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    keep = _candidate_mask(len(scores), exclude)
+    positives = np.asarray(positives, dtype=np.int64)
+    if not keep[positives].all():
+        raise ValidationError("positives are not a subset of the candidates")
+    neg = _negated(scores, exclude)
+    needles = neg[positives]
+    ranked = np.sort(neg)
+    ranks = np.searchsorted(ranked, needles, side="left")
+    tied = np.searchsorted(ranked, needles, side="right") - ranks > 1
+    for i in np.flatnonzero(tied).tolist():
+        p, value = positives[i], needles[i]
+        before = neg[:p]
+        ranks[i] += np.count_nonzero(np.isnan(before) & keep[:p] if np.isnan(value)
+                                     else before == value)
+    return np.sort(ranks), int(np.count_nonzero(keep))
 
 
 def recommend_top_n(
@@ -138,6 +208,4 @@ def recommend_top_n(
         raise ValidationError(f"n must be >= 1, got {n}")
     if not 0 <= user < train.num_users:
         raise ValidationError(f"user index {user} out of range")
-    scores = model.score_user(user)
-    ordering = rank_candidates(scores, exclude=train.profile(user))
-    return ordering[:n].copy()  # a view would keep the whole ordering alive
+    return rank_candidates(model.score_user(user), exclude=train.profile(user), n=n)

@@ -9,6 +9,7 @@ import pytest
 
 from popbias.cli import main
 from popbias.corpus import ingest_interactions
+from popbias.models import PopularityRecommender
 
 from test_gapcalc import HEADER
 
@@ -91,6 +92,18 @@ def test_out_under_a_regular_file_exits_2(tmp_path, data_file, capsys, command):
     err = capsys.readouterr().err
     assert f"cannot write {data_file / 'x'}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "tune"])
+def test_unwritable_out_rejected_before_any_fit(tmp_path, data_file, capsys, monkeypatch,
+                                                command):
+    fits = []
+    monkeypatch.setattr(PopularityRecommender, "fit", lambda self, train: fits.append(self))
+    argv = OUT_COMMANDS[command](tmp_path, data_file) + ["--out", str(data_file / "x")]
+    assert main(argv) == 2
+    assert f"cannot write {data_file / 'x'}: {data_file} is not a directory" in (
+        capsys.readouterr().err)
+    assert fits == []
 
 
 def test_run_failed_report_write_leaves_no_report(tmp_path, capsys):
@@ -269,5 +282,16 @@ def test_bench_tracer_runs_against_library(tmp_path):
         return [line for line in lines if not line.startswith("provenance.version.")]
 
     assert report("traced") == report("plain")
-    spans = {span[0] for span in json.loads(marks.read_text())["spans"]}
-    assert {"rank_candidates", "evaluate:slim", "slim.fit", "wrmf.score"} <= spans
+    spans = json.loads(marks.read_text())["spans"]
+    assert {"rank_candidates", "evaluate:slim", "slim.fit", "wrmf.score"} <= {
+        span[0] for span in spans}
+
+    def under_evaluate(span):  # span = [name, start, end, parent, counts]
+        while span[3] >= 0:
+            span = spans[span[3]]
+            if span[0].startswith("evaluate:"):
+                return True
+        return False
+
+    # evaluate.rank_s sums these spans; without one it would read 0 however ranking performs
+    assert any(span[0] == "rank_candidates" and under_evaluate(span) for span in spans)

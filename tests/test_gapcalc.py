@@ -56,6 +56,17 @@ class TestReading:
         with pytest.raises(ValidationError, match="line 3"):
             read_simulated_records(path)
 
+    def test_errors_name_the_file_line_after_a_multiline_field(self, tmp_path):
+        # the quoted artist spans lines 2-3, so the bad record is on line 4
+        path = records_path(tmp_path, [
+            'spotify,a,low,profile-seed,"Two\nLines",50,0.5',
+            "spotify,a,low,recommended,Y,500,0.5",
+        ])
+        with pytest.raises(ValidationError) as info:
+            read_simulated_records(path)
+        assert str(info.value) == (
+            f"{path}: line 4: spotify_popularity 500.0 outside [0.0, 100.0]")
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("who,what\nx,y\n", encoding="utf-8")

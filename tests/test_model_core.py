@@ -13,6 +13,7 @@ from popbias.models import (
     RandomRecommender,
     SlimRecommender,
     WrmfRecommender,
+    positive_ranks,
     rank_candidates,
     recommend_top_n,
 )
@@ -106,6 +107,95 @@ class TestRankCandidates:
             for ex in (None, exclude):
                 expected = ranking_reference.rank_candidates(scores, ex)
                 assert np.array_equal(rank_candidates(scores, ex), expected)
+
+
+def long_score_vectors(trials=24):
+    """Seeded ``(scores, exclude)`` pairs of 100-5,000 entries: tie-heavy
+    integers, normals and {±0, ±inf, NaN, 3}, some with NaN sprinkled in."""
+    rng = np.random.default_rng(17)
+    for trial in range(trials):
+        n = int(rng.integers(100, 5000))
+        pool = [rng.integers(0, 1 + trial % 7, n).astype(float), rng.normal(size=n),
+                rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 3.0], n)]
+        scores = pool[trial % 3]
+        scores[rng.random(n) < 0.05 * (trial % 4)] = np.nan
+        exclude = rng.choice(n, int(rng.integers(0, n // 2)), replace=False)
+        yield scores, (None, exclude)[trial % 2]
+
+
+class TestTopNRanking:
+    """``rank_candidates(..., n)`` is the first ``n`` of the full ordering."""
+
+    @given(tie_heavy_scores, st.sampled_from(["none", "partial", "total"]),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_every_prefix_matches_reference(self, scores, exclusion, rnd):
+        size = len(scores)
+        exclude = {"none": None, "partial": rnd.sample(range(size), rnd.randint(0, size)),
+                   "total": list(range(size))}[exclusion]
+        expected = ranking_reference.rank_candidates(scores, exclude)
+        for n in range(size + 2):
+            assert rank_candidates(np.array(scores), exclude, n).tolist() == (
+                expected[:n].tolist())
+
+    def test_every_prefix_matches_reference_on_long_vectors(self):
+        cuts = set()  # kinds of n-th value the loop went through
+        for scores, exclude in long_score_vectors(trials=6):
+            expected = ranking_reference.rank_candidates(scores, exclude)
+            ranked = scores[expected]
+            for n in range(len(expected) + 2):
+                assert np.array_equal(rank_candidates(scores, exclude, n), expected[:n])
+                if 0 < n < len(expected):
+                    last, after = ranked[n - 1], ranked[n]
+                    if np.isnan(last):
+                        cuts.add("nan")
+                    elif last == after:
+                        cuts.add("signed zeros" if last == 0 and np.signbit(last) != np.signbit(
+                            after) else "tie")
+        assert cuts == {"nan", "tie", "signed zeros"}
+
+    def test_recommend_top_n_takes_the_prefix(self):
+        for scores, _ in long_score_vectors(trials=6):
+            model = PopularityRecommender()
+            model.scores_, model.num_artists_ = scores, len(scores)
+            ds = make_dataset([[1] + [0] * (len(scores) - 1)])
+            top = recommend_top_n(model, ds, 0, 25)
+            assert top.tolist() == ranking_reference.rank_candidates(scores, [0])[:25].tolist()
+            assert top.base is None
+
+
+class TestPositiveRanks:
+    """``positive_ranks`` gives the positives' places in the full ordering."""
+
+    @staticmethod
+    def check(scores, exclude, rng):
+        expected = ranking_reference.rank_candidates(scores, exclude)
+        positives = rng.permutation(expected)[: int(rng.integers(0, len(expected) + 1))]
+        ranks, num_candidates = positive_ranks(scores, exclude, positives)
+        assert ranks.tolist() == np.flatnonzero(np.isin(expected, positives)).tolist()
+        assert num_candidates == len(expected)
+
+    @given(tie_heavy_scores, st.sampled_from(["none", "partial", "total"]),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_positions(self, scores, exclusion, rnd):
+        size = len(scores)
+        exclude = {"none": None, "partial": rnd.sample(range(size), rnd.randint(0, size)),
+                   "total": list(range(size))}[exclusion]
+        self.check(np.array(scores), exclude, np.random.default_rng(rnd.randint(0, 2**32)))
+
+    def test_matches_reference_positions_on_long_vectors(self):
+        rng = np.random.default_rng(3)
+        for scores, exclude in long_score_vectors():
+            for _ in range(4):
+                self.check(scores, exclude, rng)
+
+    def test_positive_outside_the_candidates_rejected(self):
+        scores = np.array([3.0, 1.0, 2.0, 2.0])
+        with pytest.raises(ValidationError, match="not a subset"):
+            positive_ranks(scores, [1, 2], [0, 2])
+        with pytest.raises(ValidationError, match="not a subset"):
+            positive_ranks(scores, [0, 1, 2, 3], [3])
 
 
 class TestTopN:
