@@ -6,12 +6,15 @@ Learns a sparse artist-by-artist weight matrix W minimizing
 
 subject to diag(W) = 0 and optionally W >= 0, by cyclic coordinate descent on
 each column.  Columns are independent subproblems that each visit their
-coordinates in ascending order, so the solver sweeps coordinate-major: at
-coordinate i it updates every still-active column that has i as a candidate,
-in one vectorised step.  All state lives on the sparsity pattern of the gram
-G = A^T A, so memory is O(nnz(G)) on the non-negative path (the signed path
-visits every pair of artists with plays).  A user's scores are their train row
-times W.
+coordinates in ascending order, so the solver sweeps coordinate-major.  The
+coordinates are split once per fit into consecutive runs of artists that never
+co-occur (G[i1, i2] == 0 for the gram G = A^T A); one vectorised step updates
+every still-active column at every coordinate of a run.  An update at one run
+coordinate changes a column's state at another only by delta * 0 = +-0, which
+leaves it as it was, so the weights are those of visiting one coordinate at a
+time.  All state lives on the sparsity pattern of G, so memory is O(nnz(G)) on
+the non-negative path (the signed path visits every pair of artists with
+plays).  A user's scores are their train row times W.
 """
 
 from __future__ import annotations
@@ -47,18 +50,62 @@ def _candidate_pattern(gram, col_norms, non_negative):
     return indptr, cols[off].astype(np.int32, copy=False), vals[off]
 
 
+# Fixed budgets that bound a step's temporaries whatever the run length or the
+# number of columns that move at once.
+_LOOKUP_BYTES = 8 * 2**20  # rows of G held for one run's rank-1 updates
+_UPDATE_ENTRIES = 2**18  # pattern positions one chunk of rank-1 updates touches
+
+
+def _coordinate_runs(indptr, cols, corr, max_len):
+    """Bounds of the runs: run r is the coordinates ``bounds[r] <= i < bounds[r + 1]``.
+
+    Runs are consecutive, cover every coordinate, and hold no two coordinates
+    that co-occur (G[i1, i2] != 0).  Coordinate i starts a new run when its
+    largest lower neighbour with a nonzero G value lies in the current run, or
+    when the run already holds ``max_len`` coordinates.
+    """
+    num_artists = indptr.size - 1
+    rows = np.repeat(np.arange(num_artists, dtype=np.int32), np.diff(indptr))
+    lower = (cols < rows) & (corr != 0)
+    neighbour = np.full(num_artists, -1)
+    np.maximum.at(neighbour, rows[lower], cols[lower])
+    starts, first = [], 0
+    linked = np.flatnonzero(neighbour >= 0)
+    for i, k in zip(linked.tolist(), neighbour[linked].tolist()):
+        # from ``first`` on, a run is cut every max_len coordinates
+        if k >= first + (i - first) // max_len * max_len:
+            starts.extend(range(first, i, max_len))
+            first = i
+    starts.extend(range(first, num_artists, max_len))
+    return np.array(starts + [num_artists])
+
+
 def _coordinate_descent(indptr, cols, corr, col_norms, l1, l2, non_negative,
                         max_iters, tolerance, trace):
-    """Weights on the candidate pattern (row j holds column j of W).
+    """Weights on the candidate pattern (row j holds column j of W), with the
+    number of sweeps and of vectorised steps taken.
 
     Per column, the floating-point operations and their order are those of a
     cyclic descent over its candidates in ascending index: ``partial`` holds
-    (G w_j)[i] at the position of (j, i), and the rank-1 update at coordinate
-    i reads G[i, :] from a scratch vector.  A column leaves the active set
-    after the first sweep whose largest |delta| is below ``tolerance``.
+    (G w_j)[i] at the position of (j, i).  One step updates every active
+    column at every coordinate of a run (see ``_coordinate_runs``).  This is
+    exact: the update at i1 moves column j's ``partial`` at another run
+    coordinate i2 by delta * G[i1, i2] = +-0, and ``partial`` starts at +0.0
+    and so never holds -0.0, which makes adding +-0 an identity.  Every rho in
+    the run therefore reads what the one-coordinate-at-a-time descent reads.
+    The rank-1 updates still apply in ascending coordinate order per position,
+    since one column can move at two run coordinates that share a neighbour:
+    ``np.add.at`` over the moved entries in storage order does that, in chunks
+    of at most ``_UPDATE_ENTRIES`` positions (or one column's row), and
+    ``lookup`` holds G[i, :] for the run's coordinates.  A column leaves the
+    active set after the first sweep whose largest |delta| is below
+    ``tolerance``.
     """
     num_artists = col_norms.size
     row_len = np.diff(indptr)
+    bounds = _coordinate_runs(indptr, cols, corr,
+                              max(1, _LOOKUP_BYTES // (8 * max(num_artists, 1))))
+    run_bounds = bounds.tolist()
     # flip[p] is the position of (i, j) for the entry p = (j, i); the
     # pattern is symmetric, so row i lists the columns that visit i.  Entries
     # are stored by ascending row, so a stable sort by column orders each
@@ -68,26 +115,36 @@ def _coordinate_descent(indptr, cols, corr, col_norms, l1, l2, non_negative,
         flip = flip.astype(np.int32)
     w = np.zeros(cols.size)
     partial = np.zeros(cols.size)
-    gram_row = np.zeros(num_artists)
+    # during the step of the run from ``first``, lookup[(i - first) * n + k]
+    # holds G[i, k] for its coordinates i
+    lookup = np.zeros(int(np.diff(bounds).max(initial=0)) * num_artists)
     active = row_len > 0
+    sweeps = steps = 0
     for _ in range(max_iters):
         if not active.any():
             break
+        sweeps += 1
         max_delta = np.zeros(num_artists)
         visit = np.zeros(num_artists, dtype=bool)
         visit[cols[np.repeat(active, row_len)]] = True
-        for i in np.flatnonzero(visit):
-            lo, hi = indptr[i], indptr[i + 1]
+        for run in np.logical_or.reduceat(visit, bounds[:-1]).nonzero()[0].tolist():
+            steps += 1
+            first, stop = run_bounds[run], run_bounds[run + 1]
+            lo, hi = indptr[first], indptr[stop]
             # stored as int32, indexed as intp: NumPy casts other index types
             # on every use, which costs more than one cast per step
-            row = cols[lo:hi].astype(np.intp)
-            js, at = row, flip[lo:hi].astype(np.intp)
+            entries = cols[lo:hi].astype(np.intp)
+            # each entry's coordinate i: the offset of its lookup row, and G[i, i]
+            run_lens = row_len[first:stop]
+            row_at = np.arange(0, (stop - first) * num_artists, num_artists).repeat(run_lens)
+            js, at, rs, norms = (entries, flip[lo:hi].astype(np.intp), row_at,
+                                 col_norms[first:stop].repeat(run_lens))
             is_active = active[js]
             if not is_active.all():
-                js, at = js[is_active], at[is_active]
+                js, at, rs, norms = js[is_active], at[is_active], rs[is_active], norms[is_active]
             w_old = w[at]
-            rho = corr[at] - (partial[at] - col_norms[i] * w_old)
-            denom = col_norms[i] + l2
+            rho = corr[at] - (partial[at] - norms * w_old)
+            denom = norms + l2
             if non_negative:
                 shrunk = rho - l1  # np.where, not np.maximum: NaN maps to 0 like max(0.0, x)
                 w_new = np.where(shrunk > 0.0, shrunk, 0.0) / denom
@@ -95,24 +152,39 @@ def _coordinate_descent(indptr, cols, corr, col_norms, l1, l2, non_negative,
                 w_new = np.where(rho > l1, (rho - l1) / denom,
                                  np.where(rho < -l1, (rho + l1) / denom, 0.0))
             delta = w_new - w_old
-            moved = np.flatnonzero(delta)
+            moved = delta.nonzero()[0]
             if moved.size:
-                delta, jm = delta[moved], js[moved]
-                max_delta[jm] = np.fmax(max_delta[jm], np.abs(delta))
+                delta, jm, rm = delta[moved], js[moved], rs[moved]
+                np.fmax.at(max_delta, jm, np.abs(delta))
                 w[at[moved]] = w_new[moved]
-                # positions of the moved columns' rows, concatenated
-                starts, lens = indptr[jm], row_len[jm]
-                ends = np.cumsum(lens)
-                pos = np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])
-                gram_row[row] = corr[lo:hi]
-                gram_row[i] = col_norms[i]
-                partial[pos] += np.repeat(delta, lens) * gram_row[cols[pos].astype(np.intp)]
-                gram_row[row] = 0.0
-                gram_row[i] = 0.0
+                slots = row_at + entries
+                diag = slice(first, first + (stop - first) * (num_artists + 1), num_artists + 1)
+                lookup[slots] = corr[lo:hi]
+                lookup[diag] = col_norms[first:stop]
+                # positions of the moved columns' rows, concatenated, in chunks
+                # of at most _UPDATE_ENTRIES positions (or one row)
+                lens = row_len[jm]
+                ends = lens.cumsum()
+                starts = indptr[jm] - ends + lens
+                a = 0
+                while a < jm.size:
+                    begin = ends[a] - lens[a]
+                    b = max(a + 1, int(ends.searchsorted(begin + _UPDATE_ENTRIES, "right")))
+                    c_lens = lens[a:b]
+                    pos = starts[a:b].repeat(c_lens) + np.arange(begin, ends[b - 1])
+                    gram = lookup[rm[a:b].repeat(c_lens) + cols[pos]]
+                    np.add.at(partial, pos, delta[a:b].repeat(c_lens) * gram)
+                    a = b
+                lookup[slots] = 0.0
+                lookup[diag] = 0.0
             if trace is not None:
-                for j in js.tolist():
+                # column j after the coordinate of entry e: its later run
+                # coordinates still hold w_old
+                for e, j in enumerate(js.tolist()):
                     snapshot = np.zeros(num_artists)
                     snapshot[cols[indptr[j]:indptr[j + 1]]] = w[indptr[j]:indptr[j + 1]]
+                    later = e + 1 + np.flatnonzero(js[e + 1:] == j)
+                    snapshot[first + rs[later] // num_artists] = w_old[later]
                     trace(j, snapshot)
         bad = np.flatnonzero(active & ~np.isfinite(max_delta))
         if bad.size:
@@ -122,7 +194,7 @@ def _coordinate_descent(indptr, cols, corr, col_norms, l1, l2, non_negative,
     if bad.size:
         column = np.searchsorted(indptr, bad[0], side="right") - 1
         raise NumericalError(f"non-finite weights in column {column}")
-    return w
+    return w, sweeps, steps
 
 
 class SlimRecommender(RecommenderModel):
@@ -131,7 +203,9 @@ class SlimRecommender(RecommenderModel):
     The fit keeps its state on the sparsity pattern of A^T A, so memory grows
     with the number of co-occurring artist pairs, not with the square of the
     artist count (the signed variant visits every pair of artists with plays).
-    ``binarize`` fits on 0/1 occurrences instead of raw play counts.
+    ``binarize`` fits on 0/1 occurrences instead of raw play counts.  After
+    ``fit``, ``sweeps_`` and ``steps_`` count the solver's sweeps and its
+    vectorised steps (one per visited run of coordinates).
     """
 
     model_type = "slim"
@@ -159,6 +233,8 @@ class SlimRecommender(RecommenderModel):
         self.binarize = bool(binarize)
         self.num_artists_ = None
         self.weights_ = None
+        self.sweeps_ = None
+        self.steps_ = None
         self._train_rows = None
 
     def _transform(self, train: InteractionDataset) -> sp.csr_matrix:
@@ -180,7 +256,7 @@ class SlimRecommender(RecommenderModel):
         col_norms = gram.diagonal()
         num_artists = train.num_artists
         indptr, cols, corr = _candidate_pattern(gram, col_norms, self.non_negative)
-        w = _coordinate_descent(
+        w, self.sweeps_, self.steps_ = _coordinate_descent(
             indptr, cols, corr, col_norms, self.l1_penalty, self.l2_penalty,
             self.non_negative, self.max_iters, self.tolerance, trace,
         )

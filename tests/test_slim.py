@@ -3,11 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from pytest import approx
 
-from popbias.corpus import InteractionDataset
+from popbias.corpus import InteractionDataset, SyntheticConfig, generate_synthetic, split_mask
 from popbias.errors import NumericalError, ValidationError
 from popbias.models import SlimRecommender, slim_objective
+from popbias.models import slim
 
 from conftest import make_dataset, random_dataset
 from slim_reference import reference_weights
@@ -157,6 +161,148 @@ class TestFit:
             SlimRecommender(l1_penalty=-1)
         with pytest.raises(ValidationError):
             SlimRecommender(tolerance=0)
+
+
+def tail_heavy_dataset(rng, num_users=40, num_artists=60):
+    """Sparse long-tail profiles: few artists co-occur, so runs are long."""
+    weights = 1.0 / np.arange(1, num_artists + 1)
+    counts = np.zeros((num_users, num_artists), dtype=np.int64)
+    for u in range(num_users):
+        size = int(rng.integers(1, 5))
+        cols = rng.choice(num_artists, size=size, replace=False, p=weights / weights.sum())
+        counts[u, cols] = rng.integers(1, 6, size=size)
+    return make_dataset(counts)
+
+
+def solver_runs(model, ds):
+    """The pattern and the run bounds ``model``'s solver uses on ``ds``."""
+    mat = model._transform(ds)
+    gram = (mat.T @ mat).tocsr()
+    gram.sort_indices()
+    indptr, cols, corr = slim._candidate_pattern(gram, gram.diagonal(), model.non_negative)
+    return indptr, slim._coordinate_runs(indptr, cols, corr, ds.num_artists)
+
+
+def longest_run(model, ds):
+    """Most coordinates with candidates in one run of ``model``'s solver on ``ds``."""
+    indptr, bounds = solver_runs(model, ds)
+    visited = np.concatenate(([0], np.cumsum(np.diff(indptr) > 0)))
+    return int(np.diff(visited[bounds]).max())
+
+
+def assert_same_weights(model, ds):
+    want = reference_weights(model, ds)
+    for name in ("data", "indices", "indptr"):
+        got = getattr(model.weights_, name)
+        assert got.dtype == getattr(want, name).dtype, name
+        assert got.tobytes() == getattr(want, name).tobytes(), name
+
+
+@st.composite
+def symmetric_patterns(draw):
+    """CSR pattern of a symmetric off-diagonal G; some stored values are 0."""
+    n = draw(st.integers(1, 24))
+    # 0: not stored, 1: stored nonzero, -1: stored zero
+    kind = np.triu(draw(arrays(np.int8, (n, n), elements=st.integers(-1, 1))), 1)
+    kind = kind + kind.T
+    rows, cols = np.nonzero(kind)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    corr = (kind[rows, cols] == 1).astype(np.float64)
+    return indptr, cols.astype(np.int32), corr, kind == 1
+
+
+class TestRuns:
+    @given(symmetric_patterns(), st.integers(1, 30))
+    @settings(max_examples=300, deadline=None)
+    def test_runs_are_consecutive_cover_all_and_hold_no_cooccurring_pair(self, pattern, max_len):
+        indptr, cols, corr, cooccur = pattern
+        n = indptr.size - 1
+        bounds = slim._coordinate_runs(indptr, cols, corr, max_len)
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert np.all(np.diff(bounds) >= 1) and np.all(np.diff(bounds) <= max_len)
+        for first, stop in zip(bounds[:-1], bounds[1:]):
+            assert not cooccur[first:stop, first:stop].any()
+            # maximal: the next coordinate co-occurs with a member, or the run is full
+            if stop < n:
+                assert cooccur[stop, first:stop].any() or stop - first == max_len
+
+    @pytest.mark.parametrize("non_negative", [True, False])
+    def test_zipf_dataset_matches_reference_byte_for_byte(self, zipf_dataset, non_negative):
+        model = SlimRecommender(l1_penalty=0.5, l2_penalty=1.0, non_negative=non_negative,
+                                max_iters=200 if non_negative else 3)
+        assert longest_run(model, zipf_dataset) >= 2
+        model.fit(zipf_dataset)
+        assert model.steps_ < zipf_dataset.num_artists * model.sweeps_
+        assert_same_weights(model, zipf_dataset)
+
+    @pytest.mark.parametrize("non_negative", [True, False])
+    def test_tail_heavy_instances_match_reference_byte_for_byte(self, non_negative):
+        rng = np.random.default_rng(int(non_negative))
+        for trial in range(4):
+            ds = tail_heavy_dataset(rng)
+            model = SlimRecommender(l1_penalty=float(rng.choice([0.0, 0.1, 1.0])),
+                                    l2_penalty=float(rng.choice([0.0, 0.5])),
+                                    non_negative=non_negative, tolerance=1e-10)
+            assert longest_run(model, ds) >= 2
+            assert_same_weights(model.fit(ds), ds)
+
+    @pytest.mark.parametrize("lookup_rows,update_entries", [(1, 1), (2, 3), (3, 2**18)])
+    def test_small_budgets_give_the_same_weights(self, monkeypatch, zipf_dataset,
+                                                 lookup_rows, update_entries):
+        # chunked rank-1 updates and short runs are still exact
+        monkeypatch.setattr(slim, "_LOOKUP_BYTES", 8 * zipf_dataset.num_artists * lookup_rows)
+        monkeypatch.setattr(slim, "_UPDATE_ENTRIES", update_entries)
+        model = SlimRecommender(l1_penalty=0.5, l2_penalty=1.0, max_iters=20).fit(zipf_dataset)
+        assert_same_weights(model, zipf_dataset)
+
+    def test_column_moving_at_two_run_coordinates_with_a_shared_neighbour(self):
+        # artists 0 and 1 never co-occur, so they form one run; both co-occur
+        # with 2 and 3, so column 3 moves at 0 and at 1 and both updates reach
+        # its partial at 2 in the same step
+        ds = make_dataset([[2, 0, 1, 3], [0, 3, 2, 1], [1, 0, 0, 1], [0, 1, 1, 0]])
+        model = SlimRecommender(l1_penalty=0.01, l2_penalty=0.1, tolerance=1e-12)
+        _, bounds = solver_runs(model, ds)
+        assert bounds.tolist()[:2] == [0, 2]
+        model.fit(ds)
+        W = model.weights_.toarray()
+        assert W[0, 3] != 0 and W[1, 3] != 0 and W[2, 3] != 0
+        assert_same_weights(model, ds)
+
+    def test_overflow_inside_a_run_raises_naming_the_column(self, monkeypatch):
+        # coordinates 0 and 1 form one run; column 2's update at 0 overflows
+        ds = make_dataset([[1, 0, 1], [0, 1, 1]])
+        model = SlimRecommender(l1_penalty=0.0, l2_penalty=0.0)
+        scaled = sp.csr_matrix(np.array([[1e-160, 0.0, 1e150], [0.0, 1.0, 1.0]]))
+        monkeypatch.setattr(model, "_transform", lambda train: scaled)
+        _, bounds = solver_runs(model, ds)
+        assert bounds.tolist()[:2] == [0, 2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="column 2") as got:
+                model.fit(ds)
+            with pytest.raises(NumericalError) as want:
+                reference_weights(model, ds)
+        assert str(got.value) == str(want.value)
+
+    def test_trace_matches_reference_with_multi_coordinate_runs(self):
+        rng = np.random.default_rng(5)
+        ds = tail_heavy_dataset(rng, num_users=12, num_artists=16)
+        model = SlimRecommender(l1_penalty=0.05, l2_penalty=0.1, tolerance=1e-8)
+        assert longest_run(model, ds) >= 2
+        got, want = {}, {}
+        model.fit(ds, trace=lambda j, w: got.setdefault(j, []).append(w.tobytes()))
+        reference_weights(model, ds,
+                          trace=lambda j, w: want.setdefault(j, []).append(w.tobytes()))
+        assert got == want
+
+    def test_desk_shape_sweeps_and_steps(self):
+        # the README desk config's train split: one step per visited coordinate
+        # took 78,340 steps over the same 63 sweeps
+        config = SyntheticConfig(num_users=501, num_artists=2000, zipf_exponent=1.0,
+                                 profile_size_range=(10, 40))
+        train = split_mask(generate_synthetic(config, seed=11), 0.2, seed=12).train
+        model = SlimRecommender(l1_penalty=2.0, l2_penalty=5.0).fit(train)
+        assert model.sweeps_ == 63
+        assert model.steps_ <= 20_000
 
 
 class TestObjective:
