@@ -236,8 +236,10 @@ class SyntheticConfig:
                 f"profile_size_range {self.profile_size_range} must satisfy "
                 f"1 <= lo <= hi <= num_artists"
             )
-        if len(self.mainstream_mix) != 3 or any(b < 0 for b in self.mainstream_mix):
-            raise ValidationError("mainstream_mix must be three non-negative biases")
+        if len(self.mainstream_mix) != 3 or not all(
+            math.isfinite(b) and b >= 0 for b in self.mainstream_mix
+        ):
+            raise ValidationError("mainstream_mix must be three finite non-negative biases")
         if not 0 < self.count_geometric_p <= 1:
             raise ValidationError("count_geometric_p must be in (0, 1]")
 
@@ -319,11 +321,20 @@ def _tsv_rows(path, width: int):
         yield lineno, fields
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def ingest_interactions(path, group_path=None) -> InteractionDataset:
     """Load a tab-separated ``user\\tartist\\tcount`` file.
 
-    Lines starting with ``#`` and blank lines are skipped; a single header
-    line is tolerated.  Duplicate (user, artist) records are summed.  When
+    Lines starting with ``#`` and blank lines are skipped.  The first data
+    line is a header, and skipped, when its count field is not a number at all
+    (``count``, not ``3.5``).  Duplicate (user, artist) records are summed.  When
     ``group_path`` is given it must assign one of low/medium/high to every
     user in the interactions file.
     """
@@ -333,7 +344,7 @@ def ingest_interactions(path, group_path=None) -> InteractionDataset:
         try:
             count = int(count_str)
         except ValueError:
-            if first_data_line:
+            if first_data_line and not _is_number(count_str):
                 first_data_line = False
                 continue  # header row
             raise ParseError(
@@ -431,7 +442,7 @@ def assign_mainstream_groups(
     """
     scores = user_mainstreaminess(dataset, pop)
     n = dataset.num_users
-    order = np.lexsort((np.arange(n), scores))
+    order = np.argsort(scores, kind="stable")
     cut1, cut2 = n // 3, (2 * n) // 3
     labels = np.empty(n, dtype=object)
     labels[order[:cut1]] = "low"
@@ -497,11 +508,11 @@ def long_tail_stats(
     """Coverage curve: fraction of interactions owned by the top artists.
 
     The curve is sampled at 1% and every 5% step of the artist catalogue,
-    artists ranked by listener count descending (ties by ascending index).
+    artists ranked by listener count descending.  Only the counts enter the
+    curve, so the order among tied artists does not matter.
     """
     listeners = dataset.counts.getnnz(axis=0).astype(np.int64)
-    order = np.lexsort((np.arange(dataset.num_artists), -listeners))
-    cum = np.cumsum(listeners[order])
+    cum = np.cumsum(np.sort(listeners)[::-1])
     total = dataset.num_pairs
     curve = []
     for frac in COVERAGE_FRACTIONS:
@@ -533,7 +544,8 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> InteractionDataset
     if seed < 0:
         raise ValidationError("seed must be a non-negative integer")
     nu, na = config.num_users, config.num_artists
-    base = 1.0 / np.arange(1, na + 1, dtype=np.float64) ** config.zipf_exponent
+    with np.errstate(over="ignore"):  # an overflowing power gives weight 0, checked below
+        base = 1.0 / np.arange(1, na + 1, dtype=np.float64) ** config.zipf_exponent
     lo, hi = config.profile_size_range
     uw = len(str(nu - 1))
     aw = len(str(na - 1))
@@ -544,6 +556,12 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> InteractionDataset
     for gi, label in enumerate(GROUP_LABELS):
         w = base ** config.mainstream_mix[gi]
         weights[label] = w / w.sum()
+        drawable = np.count_nonzero(weights[label])
+        if drawable < hi:
+            raise ValidationError(
+                f"synthetic group {label!r}: only {drawable} artists have a non-zero "
+                f"sampling weight, fewer than the largest profile size {hi}"
+            )
     rows, cols, vals = [], [], []
     for u in range(nu):
         rng = _user_rng(seed, u)

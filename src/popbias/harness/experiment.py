@@ -18,7 +18,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
 from types import NoneType
@@ -144,6 +144,8 @@ def _check_config(value, schema, path: str = ""):
         if (isinstance(value, bool) and bool not in kinds) or not isinstance(value, types):
             names = " or ".join("null" if k is NoneType else k.__name__ for k in kinds)
             raise ValidationError(f"config {path or 'root'} must be {names}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"config {path} must be a finite number, got {value!r}")
     return value
 
 
@@ -232,14 +234,7 @@ class ExperimentConfig:
     def to_canonical_dict(self) -> dict:
         dataset: dict = {"seed": self.dataset_seed}
         if self.synthetic is not None:
-            dataset["synthetic"] = {
-                "num_users": self.synthetic.num_users,
-                "num_artists": self.synthetic.num_artists,
-                "zipf_exponent": self.synthetic.zipf_exponent,
-                "profile_size_range": list(self.synthetic.profile_size_range),
-                "mainstream_mix": list(self.synthetic.mainstream_mix),
-                "count_geometric_p": self.synthetic.count_geometric_p,
-            }
+            dataset["synthetic"] = asdict(self.synthetic)
         else:
             dataset["interactions"] = self.interactions_path
             dataset["groups"] = self.groups_path
@@ -599,9 +594,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
 def emit_tail_plot_data(dataset: InteractionDataset, out_dir):
     """Write the popularity-by-rank series and the coverage curve as TSV files."""
     pop = compute_popularity(dataset)
-    order = np.lexsort((np.arange(dataset.num_artists), -pop.phi))
     rank_path = write_lines(Path(out_dir) / "tail_rank_phi.tsv", chain(["# rank\tphi"], (
-        f"{rank}\t{pop.phi[artist]:.6f}" for rank, artist in enumerate(order, start=1)
+        f"{rank}\t{phi:.6f}" for rank, phi in enumerate(np.sort(pop.phi)[::-1], start=1)
     )))
     stats = long_tail_stats(dataset)
     coverage_path = stats.write_coverage(Path(out_dir) / "tail_coverage.tsv")

@@ -3,13 +3,14 @@
 A fitted model exposes ``score_user(u)``: a dense score vector over every
 artist in the training data, higher meaning more recommended.  Ranking ties
 always break by ascending artist index, so a ranking depends on the scores
-alone and reruns reproduce it exactly.
+alone and reruns reproduce it exactly: it is NumPy's stable ``argsort`` of
+the negated scores.
 
 Evaluation reads only two things off that ranking: its first N entries
 (``rank_candidates`` with ``n``) and the positions of the held-out artists
 (``positive_ranks``).  Both are computed exactly without ordering every
-candidate: the first from the candidates at or above the N-th best score, the
-second from one sort of the score values.
+candidate: the first by stably sorting only the candidates at or above the
+N-th best score, the second from one sort of the score values.
 """
 
 from __future__ import annotations
@@ -115,31 +116,6 @@ def _negated(scores: np.ndarray, exclude) -> np.ndarray:
     return neg
 
 
-def _tie_fixed_order(neg: np.ndarray) -> np.ndarray:
-    """Positions of ``neg`` by ascending value, ascending position on ties.
-
-    One unstable (SIMD) sort, then, when values tie, one integer sort of
-    ``run_start * n + position`` puts each run of equal values back into
-    position order.  NaNs go last as one run; -0.0 ties with 0.0.
-    """
-    n = len(neg)
-    order = np.argsort(neg)
-    ranked = neg[order]
-    starts = np.empty(n, dtype=bool)  # does position i start a run of equal scores?
-    starts[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
-    if n and np.isnan(ranked[-1]):
-        # the sort puts NaNs last; they compare unequal but rank as one tied run
-        starts[np.searchsorted(ranked, np.nan) + 1:] = False
-    if not starts.all():
-        run_start = np.where(starts, np.arange(n), 0)
-        np.maximum.accumulate(run_start, out=run_start)
-        run_start *= n
-        order = np.sort(run_start + order)
-        order -= run_start
-    return order
-
-
 def rank_candidates(scores: np.ndarray, exclude=None, n: int | None = None) -> np.ndarray:
     """Order artists by descending score, ascending index on ties.
 
@@ -148,24 +124,24 @@ def rank_candidates(scores: np.ndarray, exclude=None, n: int | None = None) -> n
     ``n >= 0`` keeps only the first ``n`` entries of that ordering; None keeps
     all.
 
-    For ``n``, the ``n``-th best negated score comes from ``np.partition``
-    with the excluded artists set to NaN, and only the artists scoring at
-    least that well are ordered.  Every tie at that cut is among them, and no
-    excluded artist is, so their first ``n`` are the first ``n`` of the full
-    ordering.  All candidates are ordered only when ``n`` is None, or when the
+    The ordering is one stable ``argsort`` of the negated scores: it puts NaN
+    last, ties -0.0 with 0.0 and keeps equal scores in index order.  With
+    ``n`` only a pool is sorted: the artists whose negated score is at most
+    the ``n``-th smallest, which ``np.partition`` finds with the excluded
+    artists set to NaN.  Every tie at that cut is in the pool and no excluded
+    artist is, so the pool's first ``n`` are the first ``n`` of the full
+    ordering.  The pool is every candidate when ``n`` is None, or when the
     ``n``-th value is NaN: then fewer than ``n`` candidates have a score.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if n == 0:
-        return np.empty(0, dtype=np.intp)
-    if n is not None and n <= len(scores):
-        neg = _negated(scores, exclude)
+    neg = _negated(np.asarray(scores, dtype=np.float64), exclude)
+    kth = np.nan
+    if n is not None and 0 < n <= len(neg):
         kth = np.partition(neg, n - 1)[n - 1]
-        if not np.isnan(kth):
-            best = np.flatnonzero(neg <= kth)
-            return best[_tie_fixed_order(neg[best])[:n]]
-    candidates = np.flatnonzero(_candidate_mask(len(scores), exclude))
-    return candidates[_tie_fixed_order(-scores[candidates])[:n]]
+    if np.isnan(kth):
+        pool = np.flatnonzero(_candidate_mask(len(neg), exclude))
+    else:
+        pool = np.flatnonzero(neg <= kth)
+    return pool[np.argsort(neg[pool], kind="stable")[:n]]
 
 
 def positive_ranks(scores: np.ndarray, exclude, positives) -> tuple[np.ndarray, int]:

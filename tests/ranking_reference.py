@@ -1,6 +1,6 @@
 """Reference ranking and per-user evaluation: a two-key lexsort plus RankedCandidates.
 
-This is the original evaluation path.  The library ranks with one unstable
+This is the original evaluation path.  The library ranks with one stable
 sort and reads AUC and AP@K off the positions of the positives; it must
 reproduce these orderings, per-user AUC bytes and mean AP@K exactly, and the
 tests compare the two.

@@ -258,6 +258,30 @@ def test_run_malformed_config_exits_2(tmp_path, capsys, mutate, message):
     assert "Traceback" not in err
 
 
+def test_run_config_with_bare_nan_exits_2(tmp_path, capsys):
+    config = run_config(tmp_path, [{"name": "slim", "hyperparams": {"l1_penalty": 0.5}}])
+    write(config, config.read_text().replace('"l1_penalty": 0.5', '"l1_penalty": NaN'))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config models[0].hyperparams.l1_penalty must be a finite number, got nan" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--mix", "nan", "1", "2"], "three finite non-negative biases"),
+    (["--mix", "0.3", "1", "1000"], "group 'high': only 2 artists"),
+    (["--exponent", "400"], "group 'low': only 5 artists"),
+])
+def test_synth_bad_weights_exit_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "synth"
+    argv = ["synth", "--users", "3", "--artists", "30", "--profile-max", "12", "--out", str(out)]
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_config_not_an_object_exits_2(tmp_path, capsys):
     config = write(tmp_path / "c.json", "[1, 2]")
     assert main(["run", "--config", str(config), "--seed", "4"]) == 2

@@ -48,6 +48,13 @@ class TestIngest:
         ds = ingest_interactions(f)
         assert ds.num_pairs == 1
 
+    @pytest.mark.parametrize("count", ["3.5", "nan", "1e3"])
+    def test_numeric_first_count_is_not_a_header(self, tmp_path, count):
+        f = tmp_path / "x.tsv"
+        write_lines(f, ["# comment", f"u1\ta1\t{count}", "u1\ta2\t5"])
+        with pytest.raises(ParseError, match=f"line 2: count '{count}' is not an integer"):
+            ingest_interactions(f)
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         f = tmp_path / "x.tsv"
         write_lines(f, ["u1\ta1\t5", "u2\ta1"])
@@ -354,6 +361,24 @@ class TestSynthetic:
                 SyntheticConfig(num_users=3, num_artists=10, profile_size_range=(5, 20)),
                 seed=0,
             )
+        with pytest.raises(ValidationError, match="three finite non-negative biases"):
+            generate_synthetic(
+                SyntheticConfig(num_users=3, num_artists=10, profile_size_range=(2, 5),
+                                mainstream_mix=(np.nan, 1, 2)),
+                seed=0,
+            )
+
+    @pytest.mark.parametrize("knobs, message", [
+        # 3 ** -1000 underflows to 0: only artists 0 and 1 keep a weight
+        ({"mainstream_mix": (0.3, 1.0, 1000.0)}, "group 'high': only 2 artists"),
+        # 6 ** 400 overflows: artists 0-4 alone have a base popularity
+        ({"zipf_exponent": 400.0}, "group 'low': only 5 artists"),
+    ])
+    def test_underflowing_weights_rejected(self, knobs, message):
+        config = SyntheticConfig(num_users=3, num_artists=30, profile_size_range=(2, 6),
+                                 **knobs)
+        with pytest.raises(ValidationError, match=f"{message} .* largest profile size 6"):
+            generate_synthetic(config, seed=0)
 
     def test_steeper_exponent_dominates_coverage(self):
         # first-order dominance checked at the 5% point, averaged over seeds

@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from popbias.corpus import SplitDataset, SyntheticConfig, compute_popularity, split_mask
+from popbias.corpus import (
+    COVERAGE_FRACTIONS,
+    GROUP_LABELS,
+    SplitDataset,
+    SyntheticConfig,
+    assign_mainstream_groups,
+    compute_popularity,
+    split_mask,
+    user_mainstreaminess,
+)
 from popbias.errors import TuningError, ValidationError
 from popbias.harness import (
     ExperimentConfig,
@@ -150,6 +159,14 @@ class TestConfig:
          r"models\[0\].grid\[0\].binarize must be bool"),
         (("models",), [{"name": "popularity", "hyperparams": {"weighting": None}}],
          r"weighting must be str"),
+        (("split", "holdout_fraction"), math.nan, "split.holdout_fraction must be a finite"),
+        (("dataset", "synthetic", "zipf_exponent"), math.inf, "zipf_exponent must be a finite"),
+        (("dataset", "synthetic", "mainstream_mix"), [math.nan, 1.0, 2.2],
+         r"mainstream_mix\[0\] must be a finite number, got nan"),
+        (("models",), [{"name": "slim", "hyperparams": {"l1_penalty": math.nan}}],
+         r"models\[0\].hyperparams.l1_penalty must be a finite number"),
+        (("models",), [{"name": "wrmf", "grid": [{"alpha": 1.0}, {"alpha": -math.inf}]}],
+         r"models\[0\].grid\[1\].alpha must be a finite number, got -inf"),
     ])
     def test_wrong_types_and_names_rejected(self, path, value, message):
         raw = tiny_raw_config()
@@ -385,6 +402,29 @@ class TestTailPlot:
         assert phis == sorted(phis, reverse=True)
         covs = [l for l in cov_path.read_text().splitlines() if not l.startswith("#")]
         assert covs[-1].split("\t")[0] == "1.000000"
+
+    def test_outputs_match_lexsort_spelling(self, tmp_path, zipf_dataset, zipf_pop):
+        # expected outputs from a two-key lexsort: ascending index breaks ties
+        ds, pop = zipf_dataset, zipf_pop
+        _, (rank_path, cov_path) = emit_tail_plot_data(ds, tmp_path)
+        order = np.lexsort((np.arange(ds.num_artists), -pop.phi))
+        assert len(np.unique(pop.phi)) < ds.num_artists / 4  # tie-heavy
+        assert rank_path.read_text() == "".join(
+            ["# rank\tphi\n"]
+            + [f"{r}\t{pop.phi[a]:.6f}\n" for r, a in enumerate(order, start=1)])
+        cum = np.cumsum(pop.listeners[order])
+        coverage = [(f, cum[min(ds.num_artists, max(1, math.ceil(f * ds.num_artists))) - 1]
+                     / ds.num_pairs) for f in COVERAGE_FRACTIONS]
+        assert cov_path.read_text() == "".join(
+            ["# fraction_of_artists\tfraction_of_interactions\n"]
+            + [f"{f:.6f}\t{c:.6f}\n" for f, c in coverage])
+        scores = user_mainstreaminess(ds, pop)
+        labels = np.empty(ds.num_users, dtype=object)
+        for label, users in zip(GROUP_LABELS, np.split(
+                np.lexsort((np.arange(ds.num_users), scores)),
+                [ds.num_users // 3, 2 * ds.num_users // 3])):
+            labels[users] = label
+        assert assign_mainstream_groups(ds, pop) == list(labels)
 
     def test_uniform_dataset_constant_phi(self, tmp_path):
         ds = make_dataset(np.ones((5, 8), dtype=int))
