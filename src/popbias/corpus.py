@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from .errors import ParseError, ValidationError
 
 GROUP_LABELS = ("low", "medium", "high")
+GROUP_HEADER_LABELS = ("group", "label")  # a groups file's header names its label column
 
 # Fractions at which coverage curves are sampled: 1% plus every 5% step.
 COVERAGE_FRACTIONS = (0.01,) + tuple(round(0.05 * i, 2) for i in range(1, 21))
@@ -359,16 +360,21 @@ def ingest_interactions(path, group_path=None) -> InteractionDataset:
 
 
 def read_group_file(path) -> dict[str, str]:
-    """Load ``user\\tlabel`` lines mapping users to low/medium/high."""
+    """Load ``user\\tlabel`` lines mapping users to low/medium/high.
+
+    The first data line is a header, and skipped, only when its label field
+    is a column name (``group`` or ``label``, in any case); any other unknown
+    label is an error wherever it appears.
+    """
     groups: dict[str, str] = {}
     first_data_line = True
     for lineno, (user_id, label) in _tsv_rows(path, 2):
-        if label not in GROUP_LABELS:
-            if first_data_line:
-                first_data_line = False
-                continue  # header row
-            raise ParseError(f"{path}: line {lineno}: unknown group label {label!r}")
+        if first_data_line and label.lower() in GROUP_HEADER_LABELS:
+            first_data_line = False
+            continue  # header row
         first_data_line = False
+        if label not in GROUP_LABELS:
+            raise ParseError(f"{path}: line {lineno}: unknown group label {label!r}")
         if user_id in groups:
             raise ValidationError(f"{path}: line {lineno}: duplicate user {user_id!r}")
         groups[user_id] = label

@@ -16,7 +16,7 @@ from .experiment import (
 from .gapcalc import (
     GapcalcReport,
     GapEntry,
-    SimulatedUserRecord,
+    SimulatedRecords,
     gapcalc,
     read_simulated_records,
     welch_one_tailed,
@@ -30,7 +30,7 @@ __all__ = [
     "GroupMetrics",
     "ModelEvaluation",
     "ModelSpec",
-    "SimulatedUserRecord",
+    "SimulatedRecords",
     "build_model",
     "default_ap_k",
     "emit_tail_plot_data",

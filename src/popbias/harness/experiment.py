@@ -146,6 +146,12 @@ def _check_config(value, schema, path: str = ""):
             raise ValidationError(f"config {path or 'root'} must be {names}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValidationError(f"config {path} must be a finite number, got {value!r}")
+        if float in kinds and isinstance(value, int):
+            try:
+                float(value)
+            except OverflowError:
+                raise ValidationError(f"config {path} must be a finite number, "
+                                      "got an integer too large for a float") from None
     return value
 
 

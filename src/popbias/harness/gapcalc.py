@@ -5,20 +5,33 @@ with up to two popularity measures per artist: a 0-100 service score and the
 corpus listener fraction.  For every service, user group, and measure we
 report GAP over profiles, GAP over recommendations, the lift between them,
 and a one-tailed Welch t-test of whether recommendations are more popular.
+
+The records are held as columns, never as one object per record: service,
+user, group and role become integer codes into name tables, and the two
+measures float64 arrays with NaN for a blank field; the artist column is not
+kept.  Each distinct cell text is stripped, parsed and checked once.  A
+record is faulty when any of its texts is, and the first faulty record in
+file order raises the same error, with its physical line, as checking one
+record at a time would.  Every (service, user) must keep one group label and
+have records in both roles.  ``gapcalc`` groups each measure with one stable
+sort by (service, user, role) and takes one ``np.mean`` per user and role,
+in file order.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import t as t_dist
+from scipy.special import stdtr
 
 from ..corpus import GROUP_LABELS, read_lines
-from ..errors import ParseError, ValidationError
+from ..errors import ParseError, PopBiasError, ValidationError
 from ..metrics import delta_gap
 from .experiment import write_report_files
 
@@ -28,21 +41,34 @@ EXPECTED_HEADER = [
 ]
 # (report key, CSV column); spotify scores live on 0-100, phi on [0, 1]
 MEASURES = (("spotify", "spotify_popularity"), ("lfm", "lfm_phi"))
+RANGES = {"spotify_popularity": (0.0, 100.0), "lfm_phi": (0.0, 1.0)}
 GAPCALC_GROUPS = ("overall",) + GROUP_LABELS
+# Rows moved into the columns at a time.  Fewer than the cyclic collector's
+# youngest-generation threshold (700), so each batch of row lists is freed
+# before a collection has to traverse it.
+_CHUNK = 256
 
 
-@dataclass
-class SimulatedUserRecord:
-    service: str
-    user: str
-    group: str
-    role: str
-    artist: str
-    spotify_popularity: float | None
-    lfm_phi: float | None
+@dataclass(eq=False)
+class SimulatedRecords:
+    """Validated session records as columns; ``len()`` is the record count.
 
-    def value(self, column: str) -> float | None:
-        return getattr(self, column)
+    ``service`` and ``user`` index the sorted name lists ``services`` and
+    ``users``; ``group`` indexes ``GROUP_LABELS`` and ``role`` indexes
+    ``ROLES``.  A blank popularity field reads as NaN.
+    """
+
+    services: list[str]
+    users: list[str]
+    service: np.ndarray
+    user: np.ndarray
+    group: np.ndarray
+    role: np.ndarray
+    spotify_popularity: np.ndarray
+    lfm_phi: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.service)
 
 
 @dataclass
@@ -70,9 +96,64 @@ def _parse_float(text: str, lo: float, hi: float, what: str, path, lineno: int) 
     return value
 
 
-def read_simulated_records(path) -> list[SimulatedUserRecord]:
-    """Load and validate the simulated-user CSV (header required)."""
-    records = []
+def _check_record(group: str, role: str, spotify: str, lfm: str, path, lineno: int) -> None:
+    """Raise the error of a record's first failing check, given its stripped texts."""
+    if group not in GROUP_LABELS:
+        raise ValidationError(f"{path}: line {lineno}: unknown group {group!r}")
+    if role not in ROLES:
+        raise ValidationError(f"{path}: line {lineno}: unknown role {role!r}")
+    spotify_val = _parse_float(spotify, *RANGES["spotify_popularity"], "spotify_popularity",
+                               path, lineno)
+    lfm_val = _parse_float(lfm, *RANGES["lfm_phi"], "lfm_phi", path, lineno)
+    if spotify_val is None and lfm_val is None:
+        raise ValidationError(f"{path}: line {lineno}: record has no popularity value")
+
+
+def _measure(text: str, column: str) -> float:
+    """The value of one stripped cell: NaN when blank, infinity when faulty.
+
+    The range check rejects every infinite value, so infinity marks a fault.
+    """
+    try:
+        value = _parse_float(text, *RANGES[column], column, "", 0)
+    except ValidationError:
+        return math.inf
+    return math.nan if value is None else value
+
+
+class _Column(dict):
+    """One CSV column: each distinct raw text maps to a code, in first-seen order."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows: list[int] = []  # the code of each record's text, until ``close``
+
+    def __missing__(self, text: str) -> int:
+        code = self[text] = len(self)
+        return code
+
+    def close(self) -> None:
+        """Store the records' codes as one array."""
+        self.codes = np.array(self.rows, np.intp)
+        del self.rows
+
+    def lookup(self, table, dtype=None) -> np.ndarray:
+        """Per record, ``table`` of its stripped text, computed once per distinct text."""
+        return np.array([table(text.strip()) for text in self], dtype)[self.codes]
+
+    def names(self) -> tuple[list[str], np.ndarray]:
+        """The sorted distinct stripped texts and each record's index into them."""
+        names = sorted({text.strip() for text in self})
+        rank = {name: i for i, name in enumerate(names)}
+        return names, self.lookup(rank.__getitem__, np.intp)
+
+
+def read_simulated_records(path) -> SimulatedRecords:
+    """Load and validate the simulated-user CSV (header required).
+
+    Rows whose cells are all blank are skipped.  The artist column is not
+    kept: nothing reads it.
+    """
     reader = csv.reader(read_lines(path, newline=""))
     try:
         header = next(reader)
@@ -82,45 +163,102 @@ def read_simulated_records(path) -> list[SimulatedUserRecord]:
         raise ParseError(
             f"{path}: line 1: expected header {','.join(EXPECTED_HEADER)}"
         )
-    for row in reader:
-        lineno = reader.line_num  # a quoted field can span lines, so records are not lines
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(EXPECTED_HEADER):
-            raise ParseError(
-                f"{path}: line {lineno}: expected {len(EXPECTED_HEADER)} fields, "
-                f"got {len(row)}"
-            )
-        service, user, group, role, artist, spotify, lfm = (c.strip() for c in row)
-        if group not in GROUP_LABELS:
-            raise ValidationError(f"{path}: line {lineno}: unknown group {group!r}")
-        if role not in ROLES:
-            raise ValidationError(f"{path}: line {lineno}: unknown role {role!r}")
-        spotify_val = _parse_float(spotify, 0.0, 100.0, "spotify_popularity", path, lineno)
-        lfm_val = _parse_float(lfm, 0.0, 1.0, "lfm_phi", path, lineno)
-        if spotify_val is None and lfm_val is None:
-            raise ValidationError(
-                f"{path}: line {lineno}: record has no popularity value"
-            )
-        records.append(
-            SimulatedUserRecord(service, user, group, role, artist, spotify_val, lfm_val)
-        )
-    if not records:
+    width = len(EXPECTED_HEADER)
+    group_at = EXPECTED_HEADER.index("group")
+    columns = {name: _Column() for name in EXPECTED_HEADER if name != "artist"}
+    lines = array("q")  # physical line of each record: a quoted field can span lines
+    rows: list[list[str]] = []
+    stopped = None  # what ended the read early; an earlier faulty record wins over it
+
+    def move_rows():
+        for name, cells in zip(EXPECTED_HEADER, zip(*rows)):
+            if name in columns:
+                columns[name].rows.extend(map(columns[name].__getitem__, cells))
+        rows.clear()
+
+    try:
+        for row in reader:
+            # a blank row has a blank group, so only those rows need the full test
+            if len(row) != width or not row[group_at].strip():
+                if not any(cell.strip() for cell in row):
+                    continue
+                if len(row) != width:
+                    stopped = ParseError(
+                        f"{path}: line {reader.line_num}: expected {width} fields, "
+                        f"got {len(row)}"
+                    )
+                    break
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == _CHUNK:
+                move_rows()
+    except (PopBiasError, csv.Error) as exc:
+        stopped = exc
+    move_rows()
+    for column in columns.values():
+        column.close()
+
+    group = columns["group"].lookup(
+        lambda text: GROUP_LABELS.index(text) if text in GROUP_LABELS else -1, np.intp)
+    role = columns["role"].lookup(
+        lambda text: ROLES.index(text) if text in ROLES else -1, np.intp)
+    spotify, lfm = (columns[name].lookup(partial(_measure, column=name), np.float64)
+                    for name in ("spotify_popularity", "lfm_phi"))
+    faulty = np.flatnonzero((group < 0) | (role < 0) | np.isinf(spotify) | np.isinf(lfm)
+                            | (np.isnan(spotify) & np.isnan(lfm)))
+    if len(faulty):  # raise what checking one record at a time would raise first
+        k = faulty[0]
+        texts = {name: list(column)[column.codes[k]].strip() for name, column in columns.items()}
+        _check_record(texts["group"], texts["role"], texts["spotify_popularity"],
+                      texts["lfm_phi"], path, lines[k])
+    if stopped is not None:
+        raise stopped
+    if not lines:
         raise ValidationError(f"{path}: no records")
-    _check_roles(records)
+
+    services, service = columns["service"].names()
+    users, user = columns["user"].names()
+    records = SimulatedRecords(
+        services=services, users=users, service=service, user=user,
+        group=group, role=role, spotify_popularity=spotify, lfm_phi=lfm,
+    )
+    _check_users(records, path, lines)
     return records
 
 
-def _check_roles(records):
-    roles_seen: dict[tuple[str, str], set] = {}
-    for rec in records:
-        roles_seen.setdefault((rec.service, rec.user), set()).add(rec.role)
-    for (service, user), roles in sorted(roles_seen.items()):
-        missing = set(ROLES) - roles
-        if missing:
-            raise ValidationError(
-                f"simulated user ({service}, {user}) lacks {sorted(missing)} records"
-            )
+def _pairs(records: SimulatedRecords) -> tuple[np.ndarray, ...]:
+    """The distinct (service, user) pairs in sorted order.
+
+    Returns each pair's service and user codes, its first record, and each
+    record's pair.
+    """
+    key = records.service.astype(np.int64) * len(records.users) + records.user
+    pairs, first, pair = np.unique(key, return_index=True, return_inverse=True)
+    return pairs // len(records.users), pairs % len(records.users), first, pair
+
+
+def _check_users(records: SimulatedRecords, path, lines: array) -> None:
+    """Each (service, user) keeps one group label and has records in both roles."""
+    pair_service, pair_user, first, pair = _pairs(records)
+
+    def name(p):
+        return f"({records.services[pair_service[p]]}, {records.users[pair_user[p]]})"
+
+    disagree = np.flatnonzero(records.group != records.group[first][pair])
+    if len(disagree):
+        k = disagree[0]
+        raise ValidationError(
+            f"{path}: line {lines[k]}: simulated user {name(pair[k])} has group "
+            f"{GROUP_LABELS[records.group[k]]!r}, but its first record has "
+            f"{GROUP_LABELS[records.group[first[pair[k]]]]!r}"
+        )
+    has = np.zeros((len(first), len(ROLES)), bool)
+    has[pair, records.role] = True
+    lacking = np.flatnonzero(~has.all(axis=1))
+    if len(lacking):
+        p = lacking[0]
+        missing = [r for r, seen in zip(ROLES, has[p]) if not seen]
+        raise ValidationError(f"simulated user {name(p)} lacks {sorted(missing)} records")
 
 
 def welch_one_tailed(profile_means, rec_means) -> tuple[float, float]:
@@ -139,18 +277,9 @@ def welch_one_tailed(profile_means, rec_means) -> tuple[float, float]:
         return math.nan, math.nan
     t = float((b.mean() - a.mean()) / math.sqrt(se2))
     df = se2**2 / ((va / len(a)) ** 2 / (len(a) - 1) + (vb / len(b)) ** 2 / (len(b) - 1))
-    return t, float(t_dist.sf(t, df))
-
-
-def _user_means(records, column):
-    """Per-(service, user, role) mean of one popularity column."""
-    sums: dict[tuple[str, str, str], list[float]] = {}
-    for rec in records:
-        value = rec.value(column)
-        if value is None:
-            continue
-        sums.setdefault((rec.service, rec.user, rec.role), []).append(value)
-    return {key: float(np.mean(vals)) for key, vals in sums.items()}
+    # the value of scipy.stats.t.sf(t, df), without importing scipy.stats,
+    # which would be most of the command's import time
+    return t, float(stdtr(df, -t))
 
 
 @dataclass
@@ -220,7 +349,7 @@ class GapcalcReport:
         return write_report_files(out_dir, "gapcalc", self.to_text(), self.to_kv_lines())
 
 
-def gapcalc(records: list[SimulatedUserRecord]) -> GapcalcReport:
+def gapcalc(records: SimulatedRecords) -> GapcalcReport:
     """Compute the per-service, per-group, per-measure GAP lift table.
 
     A user enters a (group, measure) cell only with at least one present
@@ -228,26 +357,30 @@ def gapcalc(records: list[SimulatedUserRecord]) -> GapcalcReport:
     the service.  The t-test compares per-user profile means against per-user
     recommendation means.
     """
-    services = sorted({rec.service for rec in records})
-    group_of = {(rec.service, rec.user): rec.group for rec in records}
+    pair_service, _, first, pair = _pairs(records)
+    pair_group = records.group[first]  # the reader checks that a user keeps one group
     entries: dict[tuple[str, str, str], GapEntry] = {}
     for measure, column in MEASURES:
-        means = _user_means(records, column)
-        for service in services:
-            users = sorted({u for (s, u, _) in means if s == service})
+        values = getattr(records, column)
+        present = np.flatnonzero(~np.isnan(values))
+        key = pair[present] * len(ROLES) + records.role[present]
+        order = np.argsort(key, kind="stable")  # file order inside each (service, user, role)
+        key, values = key[order], values[present[order]]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        ends = np.r_[starts[1:], len(key)]
+        # one np.mean per slice: np.add.reduceat sums in another order, so its means differ
+        means = np.full((len(first), len(ROLES)), np.nan)
+        means.flat[key[starts]] = [np.mean(values[a:b])
+                                   for a, b in zip(starts.tolist(), ends.tolist())]
+        qualifying = ~np.isnan(means).any(axis=1)  # a present value in each role
+        for s, service in enumerate(records.services):
+            in_service = qualifying & (pair_service == s)
             for group in GAPCALC_GROUPS:
-                prof, rec = [], []
-                for user in users:
-                    if group != "overall" and group_of[(service, user)] != group:
-                        continue
-                    p = means.get((service, user, "profile-seed"))
-                    r = means.get((service, user, "recommended"))
-                    if p is None or r is None:
-                        continue
-                    prof.append(p)
-                    rec.append(r)
-                if not prof:
+                cell = in_service if group == "overall" else (
+                    in_service & (pair_group == GROUP_LABELS.index(group)))
+                if not cell.any():
                     continue
+                prof, rec = means[cell, 0], means[cell, 1]  # in sorted user order
                 gap_p = float(np.mean(prof))
                 gap_r = float(np.mean(rec))
                 lift = delta_gap(gap_p, gap_r) if gap_p > 0 else math.nan
@@ -259,4 +392,4 @@ def gapcalc(records: list[SimulatedUserRecord]) -> GapcalcReport:
                 )
     if not entries:
         raise ValidationError("no computable GAP cells in the records")
-    return GapcalcReport(entries=entries, services=services)
+    return GapcalcReport(entries=entries, services=records.services)

@@ -228,6 +228,19 @@ def test_gapcalc_invalid_records_exit_2(tmp_path):
     assert main(["gapcalc", "--records", str(records)]) == 2
 
 
+def test_gapcalc_user_with_two_groups_exits_2(tmp_path, capsys):
+    records = write(tmp_path / "r.csv", "\n".join([
+        HEADER,
+        "svc,a,low,profile-seed,X,50,",
+        "svc,a,high,recommended,Y,60,",
+    ]) + "\n")
+    assert main(["gapcalc", "--records", str(records)]) == 2
+    err = capsys.readouterr().err
+    assert (f"{records}: line 3: simulated user (svc, a) has group 'high', "
+            "but its first record has 'low'") in err
+    assert "Traceback" not in err
+
+
 def test_tailplot_command(data_file, tmp_path, capsys):
     out = tmp_path / "tail"
     assert main(["tailplot", "--data", str(data_file), "--out", str(out)]) == 0
@@ -264,6 +277,18 @@ def test_run_config_with_bare_nan_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config models[0].hyperparams.l1_penalty must be a finite number, got nan" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_config_with_huge_integer_exits_2(tmp_path, capsys):
+    config = run_config(tmp_path, [{"name": "popularity"}])
+    write(config, config.read_text().replace('"num_users": 30', '"zipf_exponent": 1' + "0" * 400
+                                             + ', "num_users": 30'))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert ("config dataset.synthetic.zipf_exponent must be a finite number, "
+            "got an integer too large for a float") in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -319,3 +344,29 @@ def test_bench_tracer_runs_against_library(tmp_path):
 
     # evaluate.rank_s sums these spans; without one it would read 0 however ranking performs
     assert any(span[0] == "rank_candidates" and under_evaluate(span) for span in spans)
+
+
+def test_bench_tracer_runs_against_gapcalc(tmp_path):
+    """perfbench/child.py wraps the gapcalc names and counts records with len()."""
+    root = Path(__file__).resolve().parents[1]
+    records = root / "tests" / "data" / "simulated_records.csv"
+    marks = tmp_path / "marks.json"
+    traced = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), "trace", str(marks),
+         "gapcalc", "--records", str(records), "--out", str(tmp_path / "traced")],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert traced.returncode == 0, traced.stderr
+    assert main(["gapcalc", "--records", str(records), "--out", str(tmp_path / "plain")]) == 0
+    assert ((tmp_path / "traced" / "gapcalc.kv").read_bytes()
+            == (tmp_path / "plain" / "gapcalc.kv").read_bytes())
+    spans = {span[0]: span for span in json.loads(marks.read_text())["spans"]}
+    assert {"read_simulated_records", "gapcalc", "GapcalcReport.write"} <= set(spans)
+    # gapcalc.records_per_s divides by this count
+    assert spans["read_simulated_records"][4] == {"records": 27}
+
+
+def test_ingest_groups_first_line_typo_exits_2(data_file, tmp_path, capsys):
+    groups = write(tmp_path / "groups.tsv", "u1\tlo\nu2\thigh\nu3\tlow\n")
+    assert main(["ingest", "--data", str(data_file), "--groups", str(groups)]) == 2
+    assert f"{groups}: line 1: unknown group label 'lo'" in capsys.readouterr().err

@@ -111,6 +111,19 @@ class TestIngest:
         with pytest.raises(ParseError, match="line 2"):
             read_group_file(g)
 
+    @pytest.mark.parametrize("header", ["user\tgroup", "user_id\tLabel"])
+    def test_group_file_header_skipped(self, tmp_path, header):
+        g = tmp_path / "g.tsv"
+        write_lines(g, ["# mainstream groups", header, "u1\tlow", "u2\thigh"])
+        assert read_group_file(g) == {"u1": "low", "u2": "high"}
+
+    def test_group_file_first_line_with_unknown_label_is_not_a_header(self, tmp_path):
+        g = tmp_path / "g.tsv"
+        write_lines(g, ["u1\tlo", "u2\thigh"])
+        with pytest.raises(ParseError) as info:
+            read_group_file(g)
+        assert str(info.value) == f"{g}: line 1: unknown group label 'lo'"
+
     def test_groups_loaded(self, tmp_path):
         f = tmp_path / "x.tsv"
         g = tmp_path / "g.tsv"

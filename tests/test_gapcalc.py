@@ -1,13 +1,22 @@
+import csv
+import io
 import math
+import random
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 from scipy import stats as scipy_stats
 
-from popbias.errors import ParseError, ValidationError
+from gapcalc_reference import reference_gapcalc, reference_read
+from popbias.corpus import GROUP_LABELS
+from popbias.errors import ParseError, PopBiasError, ValidationError
 from popbias.harness import gapcalc, read_simulated_records, welch_one_tailed
-from popbias.harness.gapcalc import EXPECTED_HEADER
+from popbias.harness.gapcalc import EXPECTED_HEADER, ROLES
 
 HEADER = ",".join(EXPECTED_HEADER)
 
@@ -36,8 +45,8 @@ class TestReading:
         ])
         records = read_simulated_records(path)
         assert len(records) == 2
-        assert records[0].spotify_popularity == 50.0
-        assert records[1].lfm_phi == 0.6
+        assert records.spotify_popularity[0] == 50.0
+        assert records.lfm_phi[1] == 0.6
 
     def test_empty_optional_fields_allowed(self, tmp_path):
         path = records_path(tmp_path, [
@@ -45,8 +54,8 @@ class TestReading:
             "spotify,a,low,recommended,Y,,0.4",
         ])
         records = read_simulated_records(path)
-        assert records[0].lfm_phi is None
-        assert records[1].spotify_popularity is None
+        assert math.isnan(records.lfm_phi[0])
+        assert math.isnan(records.spotify_popularity[1])
 
     def test_missing_both_popularity_fields_reports_row(self, tmp_path):
         path = records_path(tmp_path, [
@@ -88,6 +97,53 @@ class TestReading:
         ])
         with pytest.raises(ValidationError, match="outside"):
             read_simulated_records(path)
+
+    def test_blank_rows_are_not_records(self, tmp_path):
+        path = records_path(tmp_path, [
+            "",
+            "spotify,a,low,profile-seed,X,50,",
+            ",,,,,,",
+            " , ,  , , , , ",
+            "   ",
+            "spotify,a,low,recommended,Y,60,",
+        ])
+        assert len(read_simulated_records(path)) == 2
+
+    def test_padded_names_share_one_code(self, tmp_path):
+        path = records_path(tmp_path, [
+            " spotify ,a, low ,profile-seed,X,50,",
+            "spotify, a ,low, recommended ,Y,60,",
+        ])
+        records = read_simulated_records(path)
+        assert records.services == ["spotify"] and records.users == ["a"]
+        assert records.service.tolist() == [0, 0] and records.user.tolist() == [0, 0]
+        assert records.group.tolist() == [0, 0]
+        assert records.role.tolist() == [0, 1]
+
+    def test_user_with_two_group_labels_rejected(self, tmp_path):
+        path = records_path(tmp_path, [
+            "svc,a,low,profile-seed,X,50,",
+            "svc,b,high,profile-seed,X,50,",
+            "svc,b,high,recommended,Y,60,",
+            "svc,a,high,recommended,Y,60,",
+            "svc,a,medium,recommended,Y,60,",
+        ])
+        with pytest.raises(ValidationError) as info:
+            read_simulated_records(path)
+        assert str(info.value) == (
+            f"{path}: line 5: simulated user (svc, a) has group 'high', "
+            "but its first record has 'low'")
+
+    def test_group_label_is_per_service(self, tmp_path):
+        path = records_path(tmp_path, [
+            "svc,a,low,profile-seed,X,50,",
+            "svc,a, low ,recommended,Y,60,",
+            "other,a,high,profile-seed,X,50,",
+            "other,a,high,recommended,Y,60,",
+        ])
+        report = gapcalc(read_simulated_records(path))
+        assert report.get("svc", "low", "spotify").n_users == 1
+        assert report.get("other", "high", "spotify").n_users == 1
 
     def test_user_without_recommended_records_rejected(self, tmp_path):
         path = records_path(tmp_path, [
@@ -228,3 +284,188 @@ class TestOutput:
         txt, kv = report.write(tmp_path / "out")
         assert txt.exists() and kv.exists()
         assert txt.read_text().startswith("Popularity lift")
+
+
+def outcome(read, compute, path):
+    """The services and every GapEntry field (floats as hex), or the error raised."""
+    try:
+        report = compute(read(path))
+    except (PopBiasError, csv.Error) as exc:
+        return type(exc), str(exc)
+    entries = [(key, [v.hex() if isinstance(v, float) else v for v in astuple(entry)])
+               for key, entry in report.entries.items()]
+    return report.services, entries
+
+
+def assert_matches_reference(path):
+    got = outcome(read_simulated_records, gapcalc, path)
+    want = outcome(reference_read, reference_gapcalc, path)
+    assert got == want
+
+
+BLANK_ROWS = ([], [""] * 7, [" "] * 7, ["  "])
+# valid records past the text reader's first 8 KiB, so a later fault surfaces
+# only after these have been parsed
+PADDING = b"".join(b"s,a,low,%s,X,5,\n" % role.encode() for role in ROLES * 400)
+HUGE_FIELD = b'"' + b"x" * (csv.field_size_limit() + 1) + b'"\n'  # csv.Error
+
+
+@st.composite
+def session_records(draw):
+    """(records, write options) of a group-consistent session CSV.
+
+    Records are cell lists in file order; the layouts vary in padding,
+    quoting, line endings, multi-line and blank fields, empty groups and
+    one-user services.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pad = draw(st.booleans())
+    blank_rate = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    users_max = draw(st.sampled_from([1, 4, 12, 300]))
+    labels = draw(st.lists(st.sampled_from(GROUP_LABELS), min_size=1, max_size=3, unique=True))
+
+    def cell(text):
+        return " " * rng.randint(0, 2) + text + " " * rng.randint(0, 2) if pad else text
+
+    def value(lo, hi):
+        x = rng.choice([lo, hi, rng.uniform(lo, hi)])
+        return cell(rng.choice([repr(x), f"{x:.3f}", str(round(x)), f"{x:.2e}"]))
+
+    records = []
+    services = rng.sample(["spotify", "youtube", "amazon"], draw(st.integers(1, 3)))
+    for service in services:
+        n_users = rng.choice([1, users_max, rng.randint(1, users_max)])
+        for u in range(n_users):
+            user, group = f"u{u}", rng.choice(labels)
+            for role in ROLES:
+                for _ in range(rng.randint(1, 4)):
+                    spotify, lfm = value(0.0, 100.0), value(0.0, 1.0)
+                    if rng.random() < blank_rate:  # one measure blank, never both
+                        blank = cell("")
+                        spotify, lfm = (blank, lfm) if rng.random() < 0.5 else (spotify, blank)
+                    artist = rng.choice(["Art", "Two\nLines", "a, b", 'say "hi"', ""])
+                    records.append([cell(service), cell(user), cell(group), cell(role),
+                                    artist, spotify, lfm])
+    rng.shuffle(records)
+    options = {
+        "quoting": draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+        "lineterminator": draw(st.sampled_from(["\n", "\r\n"])),
+        "blank_rows": draw(st.booleans()),
+        "seed": rng.random(),
+    }
+    return records, options
+
+
+def write_records(path, records, quoting=csv.QUOTE_MINIMAL, lineterminator="\n",
+                  blank_rows=False, seed=0):
+    """Write ``records`` under the header, optionally with blank rows between them."""
+    rng = random.Random(seed)
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=quoting, lineterminator=lineterminator)
+    writer.writerow(EXPECTED_HEADER)
+    for record in records:
+        if blank_rows and rng.random() < 0.1:
+            writer.writerow(rng.choice(BLANK_ROWS))
+        writer.writerow(record)
+    Path(path).write_bytes(out.getvalue().encode("utf-8"))
+    return path
+
+
+# each fault sets the cells of one record; "fields" adds one
+FAULTS = {
+    "group": {2: "mid"},
+    "blank group": {2: " "},
+    "role": {3: "suggested"},
+    "spotify text": {5: "lots"},
+    "spotify range": {5: "100.5"},
+    "spotify nan": {5: " nan "},
+    "lfm text": {6: "0,5"},
+    "lfm range": {6: "-inf"},
+    "no value": {5: "", 6: " "},
+    "fields": None,
+}
+
+
+def inject(record, fault):
+    if FAULTS[fault] is None:
+        return record + ["extra"]
+    record = list(record)
+    for column, text in FAULTS[fault].items():
+        record[column] = text
+    return record
+
+
+class TestMatchesReference:
+    """Bit-equal to the record-at-a-time reader and GAP table (tests/gapcalc_reference.py)."""
+
+    def test_golden_records(self):
+        assert_matches_reference(Path(__file__).parent / "data" / "simulated_records.csv")
+
+    @given(session_records())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_csvs(self, tmp_path_factory, generated):
+        records, options = generated
+        path = write_records(tmp_path_factory.mktemp("gen") / "s.csv", records, **options)
+        assert_matches_reference(path)
+
+    def test_cells_past_numpy_pairwise_blocks(self, tmp_path):
+        # 300 users in one group cell and a user with 300 records per role:
+        # both exceed NumPy's 128-value pairwise summation block
+        rng = np.random.default_rng(5)
+        records = []
+        for service in ("spotify", "youtube"):
+            for u in range(300):
+                rows = 300 if u == 7 else int(rng.integers(1, 12))
+                for role in ROLES:
+                    for x in rng.uniform(0, 1, rows):
+                        records.append([service, f"u{u}", "low", role, "A",
+                                        repr(100 * x), repr(float(x))])
+        rng.shuffle(records)
+        assert_matches_reference(write_records(tmp_path / "big.csv", records))
+
+    @given(session_records(), st.lists(st.tuples(st.integers(0, 10**6),
+                                                 st.sampled_from(sorted(FAULTS))),
+                                       min_size=1, max_size=3),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_faulty_csvs_raise_the_same_error(self, tmp_path_factory, generated, faults,
+                                              same_record):
+        records, options = generated
+        for i, fault in faults:
+            k = faults[0][0] % len(records) if same_record else i % len(records)
+            records[k] = inject(records[k], fault)
+        path = write_records(tmp_path_factory.mktemp("bad") / "s.csv", records, **options)
+        assert isinstance(outcome(reference_read, reference_gapcalc, path)[0], type)
+        assert_matches_reference(path)
+
+    @pytest.mark.parametrize("body", [
+        b"",
+        b"who,what\nx,y\n",
+        HEADER.encode() + b"\n",
+        HEADER.encode() + b"\n\n,,,,,,\n  ,\n",
+        HEADER.encode() + b'\ns,a,low,profile-seed,"Two\nLines",50,0.5\ns,a,low,recommended\n',
+        HEADER.encode() + b"\ns,a,mid,suggested,X,abc,2\n",  # group wins over role and values
+        HEADER.encode() + b"\ns,a,low,suggested,X,,\n",  # role wins over no value
+        HEADER.encode() + b"\ns,a,low,profile-seed,X,abc,2\n",  # spotify wins over lfm
+        HEADER.encode() + b"\ns,a,low,profile-seed,X,1,2\ns,a,low,recommended,Y,5\n",
+        HEADER.encode() + b"\ns,a,low,profile-seed,X,1\ns,a,low,recommended,Y,500,\n",
+        HEADER.encode() + b"\ns,a,low,profile-seed,X,500,\n" + PADDING + b"caf\xe9\n",
+        HEADER.encode() + b"\n" + PADDING + b"caf\xe9\n",
+        HEADER.encode() + b"\ns,a,low,profile-seed,X,500,\n" + PADDING + HUGE_FIELD,
+        HEADER.encode() + b"\n" + PADDING + HUGE_FIELD,
+        HEADER.encode() + b"\ns,b,low,profile-seed,X,5,\ns,a,low,profile-seed,X,5,\n"
+        + b"s,a,low,recommended,X,5,\n",  # lacks
+        HEADER.encode() + b"\nt,b,low,recommended,X,5,\ns,z,low,recommended,X,5,\n"
+        + b"s,z,low,profile-seed,X,5,\nt,a,high,profile-seed,X,5,\n",  # first lacking in order
+        HEADER.encode() + b"\ns,a,low,profile-seed,X,5,\ns,a,low,recommended,X,,0.5\n",
+    ], ids=["empty", "header", "no records", "only blank rows", "fields after multiline",
+            "group and role", "role and no value", "spotify and lfm", "fields after fault",
+            "fault after fields", "fault before bad utf-8", "bad utf-8 after records",
+            "fault before huge field", "huge field after records",
+            "lacks", "lacks sorted", "no computable cells"])
+    def test_errors_match(self, tmp_path, body):
+        path = tmp_path / "s.csv"
+        path.write_bytes(body)
+        got = outcome(read_simulated_records, gapcalc, path)
+        assert isinstance(got[0], type)  # every case is an error
+        assert got == outcome(reference_read, reference_gapcalc, path)

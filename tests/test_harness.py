@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,18 @@ class TestConfig:
          r"models\[0\].hyperparams.l1_penalty must be a finite number"),
         (("models",), [{"name": "wrmf", "grid": [{"alpha": 1.0}, {"alpha": -math.inf}]}],
          r"models\[0\].grid\[1\].alpha must be a finite number, got -inf"),
+
+        pytest.param(("dataset", "synthetic", "zipf_exponent"), 10**400,
+                     "zipf_exponent must be a finite number, got an integer too large",
+                     id="huge-int-synthetic"),
+        pytest.param(("split", "holdout_fraction"), -(2**1024),
+                     "holdout_fraction must be a finite number", id="huge-int-split"),
+        pytest.param(("models",), [{"name": "slim", "hyperparams": {"l1_penalty": 10**309}}],
+                     r"models\[0\].hyperparams.l1_penalty must be a finite number",
+                     id="huge-int-hyperparams"),
+        pytest.param(("models",), [{"name": "wrmf", "grid": [{"alpha": 1}, {"alpha": 10**400}]}],
+                     r"models\[0\].grid\[1\].alpha must be a finite number",
+                     id="huge-int-grid"),
     ])
     def test_wrong_types_and_names_rejected(self, path, value, message):
         raw = tiny_raw_config()
@@ -183,6 +196,12 @@ class TestConfig:
         config = ExperimentConfig.from_dict(raw)
         assert config.synthetic.zipf_exponent == 1
         assert config.synthetic.mainstream_mix == (0, 1, 2)
+
+    def test_largest_float_sized_integer_accepted(self):
+        raw = tiny_raw_config()
+        raw["models"] = [{"name": "wrmf", "hyperparams": {"ridge": int(sys.float_info.max)}}]
+        assert ExperimentConfig.from_dict(raw).models[0].hyperparams["ridge"] == int(
+            sys.float_info.max)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
