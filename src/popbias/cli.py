@@ -40,7 +40,10 @@ from .harness.experiment import _load_dataset
 def _load_config(args) -> ExperimentConfig:
     try:
         raw = json.loads("".join(read_lines(args.config)))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # json.JSONDecodeError is a ValueError; the decoder also raises a bare
+        # ValueError for an integer past Python's int-string limit, and
+        # RecursionError for nesting past the recursion limit
         raise ValidationError(f"{args.config}: invalid JSON: {exc}") from exc
     if getattr(args, "seed", None) is not None and isinstance(raw, dict):
         raw["seed"] = args.seed

@@ -5,6 +5,8 @@ play-count matrix with stable identifier maps.  Everything downstream (models,
 metrics, the experiment harness) works on artist/user *indices* into that
 matrix; external identifiers only matter at the file boundary, which is
 :func:`read_lines` and :func:`write_lines` for every file popbias touches.
+:func:`ingest_interactions` builds a dataset in one pass over its file, so
+the first fault in file order is the one raised, naming its line.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,55 +106,6 @@ class InteractionDataset:
             f"InteractionDataset(users={self.num_users}, artists={self.num_artists}, "
             f"pairs={self.num_pairs}, groups={'yes' if self.group_labels else 'no'})"
         )
-
-    @classmethod
-    def from_records(cls, records, groups: Mapping[str, str] | None = None):
-        """Build a dataset from (user_id, artist_id, count) records.
-
-        Duplicate (user, artist) records are summed, and a sum that int64
-        cannot hold is rejected naming the pair.  Identifier maps are
-        sorted lexicographically so that datasets built from the same set of
-        records compare equal regardless of record order.
-        """
-        by_pair: dict[tuple[str, str], int] = {}
-        for user_id, artist_id, count in records:
-            count = int(count)
-            if count < 1:
-                raise ValidationError(
-                    f"count {count} < 1 for user {user_id!r}, artist {artist_id!r}"
-                )
-            key = (str(user_id), str(artist_id))
-            total = by_pair.get(key, 0) + count
-            if total > _MAX_COUNT:
-                raise ValidationError(
-                    f"play count {total} for user {user_id!r}, artist {artist_id!r} "
-                    f"exceeds {_MAX_COUNT}"
-                )
-            by_pair[key] = total
-        if not by_pair:
-            raise ValidationError("no interaction records")
-        users = sorted({u for u, _ in by_pair})
-        artists = sorted({a for _, a in by_pair})
-        uidx = {u: i for i, u in enumerate(users)}
-        aidx = {a: i for i, a in enumerate(artists)}
-        rows = np.fromiter((uidx[u] for u, _ in by_pair), dtype=np.int64, count=len(by_pair))
-        cols = np.fromiter((aidx[a] for _, a in by_pair), dtype=np.int64, count=len(by_pair))
-        vals = np.fromiter(by_pair.values(), dtype=np.int64, count=len(by_pair))
-        counts = sp.coo_matrix((vals, (rows, cols)), shape=(len(users), len(artists)))
-        labels = None
-        if groups is not None:
-            unknown = set(groups) - set(users)
-            if unknown:
-                raise ValidationError(
-                    f"group file references unknown user(s): {sorted(unknown)[:5]}"
-                )
-            missing = set(users) - set(groups)
-            if missing:
-                raise ValidationError(
-                    f"group file missing label for user(s): {sorted(missing)[:5]}"
-                )
-            labels = [groups[u] for u in users]
-        return cls(users, artists, counts.tocsr(), labels)
 
 
 @dataclass
@@ -285,6 +237,23 @@ def write_lines(path, lines) -> Path:
     return path
 
 
+def write_report_files(out_dir, stem: str, text: str, kv_lines) -> tuple[Path, Path]:
+    """Write ``<stem>.txt`` and ``<stem>.kv``; on failure remove what was written.
+
+    ``text`` ends with a newline, which ``write_lines`` puts back.
+    """
+    paths = (Path(out_dir) / f"{stem}.txt", Path(out_dir) / f"{stem}.kv")
+    written = []
+    try:
+        for path, lines in zip(paths, ([text.removesuffix("\n")], kv_lines)):
+            written.append(write_lines(path, lines))
+    except Exception:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    return paths
+
+
 def check_writable_dir(path) -> None:
     """Raise ``ValidationError`` unless ``write_lines`` can create files in ``path``.
 
@@ -303,12 +272,14 @@ def check_writable_dir(path) -> None:
         raise ValidationError(f"cannot write {path}: {ancestor} is not writable")
 
 
-def _tsv_rows(path, width: int):
+def _tsv_rows(path, width: int, is_header):
     """Yield ``(lineno, fields)`` for each data line of a tab-separated file.
 
     Blank lines and lines starting with ``#`` are skipped; every other line
-    must hold exactly ``width`` fields.
+    must hold exactly ``width`` fields.  The first such line is a header, and
+    skipped, when ``is_header(fields)`` holds.
     """
+    header_checked = False
     for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -319,6 +290,10 @@ def _tsv_rows(path, width: int):
                 f"{path}: line {lineno}: expected {width} tab-separated fields, "
                 f"got {len(fields)}"
             )
+        if not header_checked:
+            header_checked = True
+            if is_header(fields):
+                continue
         yield lineno, fields
 
 
@@ -331,32 +306,60 @@ def _is_number(text: str) -> bool:
 
 
 def ingest_interactions(path, group_path=None) -> InteractionDataset:
-    """Load a tab-separated ``user\\tartist\\tcount`` file.
+    """Load a tab-separated ``user\\tartist\\tcount`` file in one pass.
 
     Lines starting with ``#`` and blank lines are skipped.  The first data
     line is a header, and skipped, when its count field is not a number at all
-    (``count``, not ``3.5``).  Duplicate (user, artist) records are summed.  When
+    (``count``, not ``3.5``).  Duplicate (user, artist) records are summed, and
+    a sum that int64 cannot hold is rejected at its line.  Identifier maps are
+    sorted, so the same records in any order give equal datasets.  When
     ``group_path`` is given it must assign one of low/medium/high to every
     user in the interactions file.
     """
-    records = []
-    first_data_line = True
-    for lineno, (user_id, artist_id, count_str) in _tsv_rows(path, 3):
+    by_pair: dict[tuple[str, str], int] = {}
+    records = _tsv_rows(path, 3, lambda fields: not _is_number(fields[2]))
+    for lineno, (user_id, artist_id, count_str) in records:
         try:
             count = int(count_str)
         except ValueError:
-            if first_data_line and not _is_number(count_str):
-                first_data_line = False
-                continue  # header row
             raise ParseError(
                 f"{path}: line {lineno}: count {count_str!r} is not an integer"
             ) from None
-        first_data_line = False
         if count < 1:
             raise ValidationError(f"{path}: line {lineno}: count {count} < 1")
-        records.append((user_id, artist_id, count))
-    groups = read_group_file(group_path) if group_path is not None else None
-    return InteractionDataset.from_records(records, groups)
+        key = (user_id, artist_id)
+        total = by_pair.get(key, 0) + count
+        if total > _MAX_COUNT:
+            raise ValidationError(
+                f"{path}: line {lineno}: play count {total} for user {user_id!r}, "
+                f"artist {artist_id!r} exceeds {_MAX_COUNT}"
+            )
+        by_pair[key] = total
+    if not by_pair:
+        raise ValidationError(f"{path}: no interaction records")
+    users = sorted({u for u, _ in by_pair})
+    artists = sorted({a for _, a in by_pair})
+    uidx = {u: i for i, u in enumerate(users)}
+    aidx = {a: i for i, a in enumerate(artists)}
+    rows = np.fromiter((uidx[u] for u, _ in by_pair), dtype=np.int64, count=len(by_pair))
+    cols = np.fromiter((aidx[a] for _, a in by_pair), dtype=np.int64, count=len(by_pair))
+    vals = np.fromiter(by_pair.values(), dtype=np.int64, count=len(by_pair))
+    counts = sp.coo_matrix((vals, (rows, cols)), shape=(len(users), len(artists)))
+    labels = None
+    if group_path is not None:
+        groups = read_group_file(group_path)
+        unknown = set(groups) - set(users)
+        if unknown:
+            raise ValidationError(
+                f"group file references unknown user(s): {sorted(unknown)[:5]}"
+            )
+        missing = set(users) - set(groups)
+        if missing:
+            raise ValidationError(
+                f"group file missing label for user(s): {sorted(missing)[:5]}"
+            )
+        labels = [groups[u] for u in users]
+    return InteractionDataset(users, artists, counts.tocsr(), labels)
 
 
 def read_group_file(path) -> dict[str, str]:
@@ -367,12 +370,8 @@ def read_group_file(path) -> dict[str, str]:
     label is an error wherever it appears.
     """
     groups: dict[str, str] = {}
-    first_data_line = True
-    for lineno, (user_id, label) in _tsv_rows(path, 2):
-        if first_data_line and label.lower() in GROUP_HEADER_LABELS:
-            first_data_line = False
-            continue  # header row
-        first_data_line = False
+    records = _tsv_rows(path, 2, lambda fields: fields[1].lower() in GROUP_HEADER_LABELS)
+    for lineno, (user_id, label) in records:
         if label not in GROUP_LABELS:
             raise ParseError(f"{path}: line {lineno}: unknown group label {label!r}")
         if user_id in groups:

@@ -41,6 +41,7 @@ from ..corpus import (
     long_tail_stats,
     split_mask,
     write_lines,
+    write_report_files,
 )
 from ..errors import PopBiasError, TuningError, UndefinedMetricError, ValidationError
 # RankedCandidates, auc and average_precision_at_k are not called here: they
@@ -353,23 +354,6 @@ class ExperimentReport:
 
     def write(self, out_dir) -> tuple[Path, Path]:
         return write_report_files(out_dir, "report", self.to_text(), self.to_kv_lines())
-
-
-def write_report_files(out_dir, stem: str, text: str, kv_lines) -> tuple[Path, Path]:
-    """Write ``<stem>.txt`` and ``<stem>.kv``; on failure remove what was written.
-
-    ``text`` ends with a newline, which ``write_lines`` puts back.
-    """
-    paths = (Path(out_dir) / f"{stem}.txt", Path(out_dir) / f"{stem}.kv")
-    written = []
-    try:
-        for path, lines in zip(paths, ([text.removesuffix("\n")], kv_lines)):
-            written.append(write_lines(path, lines))
-    except Exception:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    return paths
 
 
 def _group_indices(group_labels: list[str], num_users: int) -> dict[str, np.ndarray]:

@@ -30,10 +30,9 @@ from pathlib import Path
 import numpy as np
 from scipy.special import stdtr
 
-from ..corpus import GROUP_LABELS, read_lines
+from ..corpus import GROUP_LABELS, read_lines, write_report_files
 from ..errors import ParseError, PopBiasError, ValidationError
 from ..metrics import delta_gap
-from .experiment import write_report_files
 
 ROLES = ("profile-seed", "recommended")
 EXPECTED_HEADER = [
@@ -192,8 +191,10 @@ def read_simulated_records(path) -> SimulatedRecords:
             lines.append(reader.line_num)
             if len(rows) == _CHUNK:
                 move_rows()
-    except (PopBiasError, csv.Error) as exc:
+    except PopBiasError as exc:
         stopped = exc
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        stopped = ParseError(f"{path}: line {reader.line_num}: {exc}")
     move_rows()
     for column in columns.values():
         column.close()

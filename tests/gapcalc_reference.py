@@ -70,7 +70,14 @@ def reference_read(path) -> list[SimulatedUserRecord]:
         raise ParseError(
             f"{path}: line 1: expected header {','.join(EXPECTED_HEADER)}"
         )
-    for row in reader:
+    rows = iter(reader)
+    while True:
+        try:
+            row = next(rows)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
         lineno = reader.line_num
         if not row or all(not cell.strip() for cell in row):
             continue

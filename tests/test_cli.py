@@ -241,6 +241,21 @@ def test_gapcalc_user_with_two_groups_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("run", '{"seed": ' + "1" * 5001 + "}", "invalid JSON: Exceeds the limit"),
+    ("run", "[" * 100_000 + "]" * 100_000, "invalid JSON: maximum recursion depth"),
+    ("gapcalc", HEADER + "\ns,a,low,profile-seed,X,5,\n" + "x" * (2**17 + 1) + "\n",
+     "line 3: field larger than field limit"),
+], ids=["5001-digit seed", "100000-deep array", "csv field over 131072 characters"])
+def test_input_past_a_parser_limit_exits_2(tmp_path, capsys, command, text, message):
+    path = write(tmp_path / "input", text)
+    flag = {"run": "--config", "gapcalc": "--records"}[command]
+    assert main([command, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_tailplot_command(data_file, tmp_path, capsys):
     out = tmp_path / "tail"
     assert main(["tailplot", "--data", str(data_file), "--out", str(out)]) == 0

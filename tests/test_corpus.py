@@ -83,6 +83,33 @@ class TestIngest:
         with pytest.raises(ValidationError, match="user 'u2', artist 'a7'"):
             ingest_interactions(f)
 
+    @pytest.mark.parametrize("lines, lineno", [
+        (["u1\ta1\t5", f"u2\ta7\t{2**62}", "u1\ta2\t1", f"u2\ta7\t{2**62}"], 4),
+        ([f"u2\ta7\t{2**62}", "# plays", f"u2\ta7\t{2**62}"]
+         + [f"u{u}\ta1\t1" for u in range(5)] + ["u1\ta2\tbogus"], 3),
+    ], ids=["duplicate-sum", "before-later-bad-count"])
+    def test_count_overflow_names_file_and_first_faulty_line(self, tmp_path, lines, lineno):
+        f = tmp_path / "x.tsv"
+        write_lines(f, lines)
+        with pytest.raises(ValidationError) as info:
+            ingest_interactions(f)
+        assert str(info.value) == (f"{f}: line {lineno}: play count {2**63} for user 'u2', "
+                                   f"artist 'a7' exceeds {2**63 - 1}")
+
+    def test_header_after_comment_skipped(self, tmp_path):
+        f = tmp_path / "x.tsv"
+        write_lines(f, ["# plays", "user_id\tartist_id\tcount", "u1\ta1\t5"])
+        assert ingest_interactions(f).num_pairs == 1
+
+    @pytest.mark.parametrize("lines", [[], ["# plays", ""], ["user\tartist\tcount"]],
+                             ids=["empty", "comments-only", "header-only"])
+    def test_no_records_rejected_naming_the_file(self, tmp_path, lines):
+        f = tmp_path / "x.tsv"
+        write_lines(f, lines)
+        with pytest.raises(ValidationError) as info:
+            ingest_interactions(f)
+        assert str(info.value) == f"{f}: no interaction records"
+
     def test_count_summing_to_int64_max_kept(self, tmp_path):
         f = tmp_path / "x.tsv"
         write_lines(f, [f"u1\ta1\t{2**62}", "u2\ta1\t1", f"u1\ta1\t{2**62 - 1}"])
@@ -166,14 +193,16 @@ interaction_records = st.lists(
 @given(interaction_records, st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_round_trip_write_then_ingest(tmp_path_factory, records, with_groups):
-    ds = InteractionDataset.from_records(records)
+    out = tmp_path_factory.mktemp("roundtrip")
+    raw = out / "raw.tsv"
+    write_lines(raw, [f"{u}\t{a}\t{c}" for u, a, c in records])
+    ds = ingest_interactions(raw)
     if with_groups:
         labels = ["low", "medium", "high"]
         ds = InteractionDataset(
             ds.users, ds.artists, ds.counts,
             [labels[i % 3] for i in range(ds.num_users)],
         )
-    out = tmp_path_factory.mktemp("roundtrip")
     f = out / "data.tsv"
     g = out / "groups.tsv" if with_groups else None
     write_interactions(ds, f, g)

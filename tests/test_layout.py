@@ -1,5 +1,7 @@
 """The file boundary: only ``corpus.read_lines`` and ``corpus.write_lines``
-open, create or write files; every other module calls them."""
+open, create or write files; every other module calls them.  The session
+analysis in ``harness/gapcalc.py`` reads and writes through ``corpus``, not
+through the experiment harness, and imports no learner."""
 
 import ast
 import re
@@ -31,3 +33,25 @@ def test_files_are_touched_only_through_the_corpus_boundary():
             ):
                 hits.append(f"{path.relative_to(SRC)}:{lineno}: {line.strip()}")
     assert not hits, "file access outside corpus.read_lines/write_lines:\n" + "\n".join(hits)
+
+
+def imported_names(path: Path) -> set[str]:
+    """Absolute names of the modules ``path`` imports and of the names it imports from them."""
+    package = ["popbias", *path.relative_to(SRC).parent.parts]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) + 1 - node.level] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_gapcalc_imports_no_learner():
+    banned = ("popbias.models", "popbias.harness.experiment")
+    hits = sorted(name for name in imported_names(SRC / "harness" / "gapcalc.py")
+                  if any(name == b or name.startswith(f"{b}.") for b in banned))
+    assert not hits, f"harness/gapcalc.py imports {hits}"
