@@ -322,9 +322,18 @@ def ingest_interactions(path, group_path=None) -> InteractionDataset:
         try:
             count = int(count_str)
         except ValueError:
-            raise ParseError(
-                f"{path}: line {lineno}: count {count_str!r} is not an integer"
-            ) from None
+            if not (count_str.isascii() and count_str.isdigit()):
+                raise ParseError(
+                    f"{path}: line {lineno}: count {count_str!r} is not an integer"
+                ) from None
+            # past Python's int-string limit: only leading zeros can keep it in range
+            digits = count_str.lstrip("0")
+            if len(digits) > len(str(_MAX_COUNT)):
+                raise ValidationError(
+                    f"{path}: line {lineno}: play count of {len(digits)} digits for user "
+                    f"{user_id!r}, artist {artist_id!r} exceeds {_MAX_COUNT}"
+                ) from None
+            count = int(digits or "0")
         if count < 1:
             raise ValidationError(f"{path}: line {lineno}: count {count} < 1")
         key = (user_id, artist_id)
@@ -351,12 +360,12 @@ def ingest_interactions(path, group_path=None) -> InteractionDataset:
         unknown = set(groups) - set(users)
         if unknown:
             raise ValidationError(
-                f"group file references unknown user(s): {sorted(unknown)[:5]}"
+                f"{group_path}: group file references unknown user(s): {sorted(unknown)[:5]}"
             )
         missing = set(users) - set(groups)
         if missing:
             raise ValidationError(
-                f"group file missing label for user(s): {sorted(missing)[:5]}"
+                f"{group_path}: group file missing label for user(s): {sorted(missing)[:5]}"
             )
         labels = [groups[u] for u in users]
     return InteractionDataset(users, artists, counts.tocsr(), labels)

@@ -9,13 +9,13 @@ and a one-tailed Welch t-test of whether recommendations are more popular.
 The records are held as columns, never as one object per record: service,
 user, group and role become integer codes into name tables, and the two
 measures float64 arrays with NaN for a blank field; the artist column is not
-kept.  Each distinct cell text is stripped, parsed and checked once.  A
-record is faulty when any of its texts is, and the first faulty record in
-file order raises the same error, with its physical line, as checking one
-record at a time would.  Every (service, user) must keep one group label and
-have records in both roles.  ``gapcalc`` groups each measure with one stable
-sort by (service, user, role) and takes one ``np.mean`` per user and role,
-in file order.
+kept.  Each distinct cell text is stripped and checked once, by its column's
+one check, and a rejected text keeps its error.  The first record in file
+order with a rejected text or two blank measures raises its first error in
+column order, naming the file and its physical line.  Every (service, user)
+must keep one group label and have records in both roles.  ``gapcalc``
+groups each measure with one stable sort by (service, user, role) and takes
+one ``np.mean`` per user and role, in file order.
 """
 
 from __future__ import annotations
@@ -83,41 +83,25 @@ class GapEntry:
     p_value: float
 
 
-def _parse_float(text: str, lo: float, hi: float, what: str, path, lineno: int) -> float | None:
-    if text is None or text.strip() == "":
-        return None
+def _label(names: tuple[str, ...], what: str, text: str) -> int:
+    """The index of one stripped group or role cell in ``names``."""
+    if text not in names:
+        raise ValidationError(f"unknown {what} {text!r}")
+    return names.index(text)
+
+
+def _measure(column: str, text: str) -> float:
+    """The value of one stripped popularity cell of ``column``; NaN when blank."""
+    if text == "":
+        return math.nan
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(f"{path}: line {lineno}: {what} {text!r} is not a number") from None
+        raise ParseError(f"{column} {text!r} is not a number") from None
+    lo, hi = RANGES[column]
     if not lo <= value <= hi:
-        raise ValidationError(f"{path}: line {lineno}: {what} {value} outside [{lo}, {hi}]")
+        raise ValidationError(f"{column} {value} outside [{lo}, {hi}]")
     return value
-
-
-def _check_record(group: str, role: str, spotify: str, lfm: str, path, lineno: int) -> None:
-    """Raise the error of a record's first failing check, given its stripped texts."""
-    if group not in GROUP_LABELS:
-        raise ValidationError(f"{path}: line {lineno}: unknown group {group!r}")
-    if role not in ROLES:
-        raise ValidationError(f"{path}: line {lineno}: unknown role {role!r}")
-    spotify_val = _parse_float(spotify, *RANGES["spotify_popularity"], "spotify_popularity",
-                               path, lineno)
-    lfm_val = _parse_float(lfm, *RANGES["lfm_phi"], "lfm_phi", path, lineno)
-    if spotify_val is None and lfm_val is None:
-        raise ValidationError(f"{path}: line {lineno}: record has no popularity value")
-
-
-def _measure(text: str, column: str) -> float:
-    """The value of one stripped cell: NaN when blank, infinity when faulty.
-
-    The range check rejects every infinite value, so infinity marks a fault.
-    """
-    try:
-        value = _parse_float(text, *RANGES[column], column, "", 0)
-    except ValidationError:
-        return math.inf
-    return math.nan if value is None else value
 
 
 class _Column(dict):
@@ -136,9 +120,21 @@ class _Column(dict):
         self.codes = np.array(self.rows, np.intp)
         del self.rows
 
-    def lookup(self, table, dtype=None) -> np.ndarray:
-        """Per record, ``table`` of its stripped text, computed once per distinct text."""
-        return np.array([table(text.strip()) for text in self], dtype)[self.codes]
+    def lookup(self, check, dtype, fault=-1) -> np.ndarray:
+        """Per record, ``check`` of its stripped text, called once per distinct text.
+
+        A text that ``check`` rejects reads as ``fault``, and its error is kept
+        in ``errors`` under the text's code.
+        """
+        self.errors: dict[int, PopBiasError] = {}
+        values = []
+        for code, text in enumerate(self):
+            try:
+                values.append(check(text.strip()))
+            except PopBiasError as exc:
+                self.errors[code] = exc
+                values.append(fault)
+        return np.array(values, dtype)[self.codes]
 
     def names(self) -> tuple[list[str], np.ndarray]:
         """The sorted distinct stripped texts and each record's index into them."""
@@ -199,19 +195,20 @@ def read_simulated_records(path) -> SimulatedRecords:
     for column in columns.values():
         column.close()
 
-    group = columns["group"].lookup(
-        lambda text: GROUP_LABELS.index(text) if text in GROUP_LABELS else -1, np.intp)
-    role = columns["role"].lookup(
-        lambda text: ROLES.index(text) if text in ROLES else -1, np.intp)
-    spotify, lfm = (columns[name].lookup(partial(_measure, column=name), np.float64)
+    group = columns["group"].lookup(partial(_label, GROUP_LABELS, "group"), np.intp)
+    role = columns["role"].lookup(partial(_label, ROLES, "role"), np.intp)
+    # the range check rejects every infinite value, so infinity marks a fault
+    spotify, lfm = (columns[name].lookup(partial(_measure, name), np.float64, math.inf)
                     for name in ("spotify_popularity", "lfm_phi"))
     faulty = np.flatnonzero((group < 0) | (role < 0) | np.isinf(spotify) | np.isinf(lfm)
                             | (np.isnan(spotify) & np.isnan(lfm)))
-    if len(faulty):  # raise what checking one record at a time would raise first
+    if len(faulty):  # the first failing check of the first faulty record
         k = faulty[0]
-        texts = {name: list(column)[column.codes[k]].strip() for name, column in columns.items()}
-        _check_record(texts["group"], texts["role"], texts["spotify_popularity"],
-                      texts["lfm_phi"], path, lines[k])
+        errors = (columns[name].errors.get(columns[name].codes[k])
+                  for name in ("group", "role", "spotify_popularity", "lfm_phi"))
+        exc = next((e for e in errors if e is not None),
+                   ValidationError("record has no popularity value"))
+        raise type(exc)(f"{path}: line {lines[k]}: {exc}")
     if stopped is not None:
         raise stopped
     if not lines:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..corpus import InteractionDataset
 from ..errors import NumericalError, ValidationError
-from .base import RecommenderModel
+from .base import RecommenderModel, require_memory
 
 PARAM_KEYS = (
     "w_enc", "b_enc",
@@ -214,6 +214,13 @@ class MultiVaeRecommender(RecommenderModel):
     def fit(self, train: InteractionDataset):
         seq = np.random.SeedSequence(self.init_seed)
         init_rng, order_rng, noise_rng, drop_rng = map(np.random.default_rng, seq.spawn(4))
+        # parameters and their gradients, plus the batch's target, dropped-out
+        # input, logits, log-probabilities and logit gradient
+        n, h, k = train.num_artists, self.hidden_dim, self.latent_dim
+        num_params = 2 * n * h + 3 * h * k + n + 2 * h + 2 * k
+        batch = min(self.batch_size, train.num_users)
+        require_memory(8 * (2 * num_params + 5 * batch * n),
+                       f"Multi-VAE with hidden_dim {h}")
         params = init_params(train.num_artists, self.hidden_dim, self.latent_dim, init_rng)
         step = 0
         self.loss_curve_ = []

@@ -25,7 +25,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ..corpus import InteractionDataset
 from ..errors import NumericalError, ValidationError
-from .base import RecommenderModel
+from .base import RecommenderModel, require_memory
 
 CONFIDENCE_MODES = ("linear", "log")
 
@@ -168,6 +168,10 @@ class WrmfRecommender(RecommenderModel):
         self.objective_trace_: list[float] = []
 
     def fit(self, train: InteractionDataset):
+        # factors, their d x d Gram matrix, and c - 1 and c for both orientations
+        d = self.factors
+        require_memory(8 * (d * (train.num_users + train.num_artists) + d * d
+                            + 4 * train.num_pairs), f"WRMF with {d} factors")
         counts = train.counts.astype(np.float64).tocsr()
         counts_t = counts.T.tocsr()
         by_user = _confidences(counts, self.alpha, self.confidence)

@@ -385,3 +385,47 @@ def test_ingest_groups_first_line_typo_exits_2(data_file, tmp_path, capsys):
     groups = write(tmp_path / "groups.tsv", "u1\tlo\nu2\thigh\nu3\tlow\n")
     assert main(["ingest", "--data", str(data_file), "--groups", str(groups)]) == 2
     assert f"{groups}: line 1: unknown group label 'lo'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("groups, message", [
+    ("u1\tlow\nu9\thigh\n", "group file references unknown user(s): ['u9']"),
+    ("u1\tlow\nu2\thigh\n", "group file missing label for user(s): ['u3']"),
+], ids=["unknown user", "missing label"])
+def test_ingest_group_cross_check_names_the_groups_file(data_file, tmp_path, capsys, groups,
+                                                        message):
+    groups = write(tmp_path / "groups.tsv", groups)
+    assert main(["ingest", "--data", str(data_file), "--groups", str(groups)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {groups}: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_ingest_count_past_the_int_string_limit_exits_2(tmp_path, capsys):
+    big = write(tmp_path / "big.tsv", "u1\ta1\t5\nu2\ta7\t" + "9" * 5001 + "\n")
+    assert main(["ingest", "--data", str(big)]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: {big}: line 2: play count of 5001 digits for user 'u2', artist 'a7' "
+            f"exceeds {2**63 - 1}") in err
+    assert "9" * 100 not in err
+    assert "Traceback" not in err
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the memory check let an impossible allocation through")
+
+
+@pytest.mark.parametrize("model, allocator, message", [
+    ({"name": "wrmf", "hyperparams": {"factors": 4_000_000_000}},
+     "popbias.models.wrmf._confidences", "WRMF with 4000000000 factors needs "),
+    ({"name": "multivae", "hyperparams": {"hidden_dim": 4_000_000_000}},
+     "popbias.models.multivae.init_params", "Multi-VAE with hidden_dim 4000000000 needs "),
+], ids=["wrmf factors", "multivae hidden_dim"])
+def test_run_state_larger_than_memory_exits_3(tmp_path, capsys, monkeypatch, model,
+                                              allocator, message):
+    # the first call that allocates the state fails the test instead of allocating
+    monkeypatch.setattr(allocator, _never_called)
+    config = run_config(tmp_path, [model])
+    assert main(["run", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert re.search(re.escape(message) + r"[\d,]+ bytes, more than the [\d,]+ bytes", err)
+    assert "Traceback" not in err

@@ -83,6 +83,16 @@ class TestIngest:
         with pytest.raises(ValidationError, match="user 'u2', artist 'a7'"):
             ingest_interactions(f)
 
+    def test_count_past_the_int_string_limit(self, tmp_path):
+        f = tmp_path / "x.tsv"
+        write_lines(f, ["u1\ta1\t" + "0" * 5000 + "12", "u2\ta7\t" + "0" * 10 + "9" * 4999])
+        with pytest.raises(ValidationError) as info:
+            ingest_interactions(f)
+        assert str(info.value) == (f"{f}: line 2: play count of 4999 digits for user 'u2', "
+                                   f"artist 'a7' exceeds {2**63 - 1}")
+        write_lines(f, ["u1\ta1\t" + "0" * 5000 + "12"])
+        assert ingest_interactions(f).counts[0, 0] == 12
+
     @pytest.mark.parametrize("lines, lineno", [
         (["u1\ta1\t5", f"u2\ta7\t{2**62}", "u1\ta2\t1", f"u2\ta7\t{2**62}"], 4),
         ([f"u2\ta7\t{2**62}", "# plays", f"u2\ta7\t{2**62}"]

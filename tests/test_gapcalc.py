@@ -458,11 +458,13 @@ class TestMatchesReference:
         HEADER.encode() + b"\nt,b,low,recommended,X,5,\ns,z,low,recommended,X,5,\n"
         + b"s,z,low,profile-seed,X,5,\nt,a,high,profile-seed,X,5,\n",  # first lacking in order
         HEADER.encode() + b"\ns,a,low,profile-seed,X,5,\ns,a,low,recommended,X,,0.5\n",
+        HEADER.encode() + b"\ns,a,low,profile-seed,X,5,\ns,a,low,recommended,X,500,\n"
+        + b"s,b,low,profile-seed,X,500,\n",  # one faulty text, two records
     ], ids=["empty", "header", "no records", "only blank rows", "fields after multiline",
             "group and role", "role and no value", "spotify and lfm", "fields after fault",
             "fault after fields", "fault before bad utf-8", "bad utf-8 after records",
             "fault before huge field", "huge field after records",
-            "lacks", "lacks sorted", "no computable cells"])
+            "lacks", "lacks sorted", "no computable cells", "shared faulty text"])
     def test_errors_match(self, tmp_path, body):
         path = tmp_path / "s.csv"
         path.write_bytes(body)

@@ -17,6 +17,7 @@ from popbias.corpus import (
     SyntheticConfig,
     assign_mainstream_groups,
     compute_popularity,
+    generate_synthetic,
     split_mask,
     user_mainstreaminess,
 )
@@ -32,6 +33,7 @@ from popbias.harness import (
     tune,
 )
 from popbias.harness.experiment import _mean_ap
+from popbias.metrics import gap
 from popbias.models import PopularityRecommender
 
 import ranking_reference
@@ -400,6 +402,34 @@ class TestRunExperiment:
         raw["dataset"] = {"interactions": "/nonexistent/file.tsv"}
         with pytest.raises(ValidationError, match="stage 'dataset'"):
             run_experiment(ExperimentConfig.from_dict(raw))
+
+    @staticmethod
+    def run_with_inputs(**overrides):
+        """The report of a tiny run, and the dataset, split and group users it evaluates."""
+        config = ExperimentConfig.from_dict(tiny_raw_config(**overrides))
+        dataset = generate_synthetic(config.synthetic, config.dataset_seed)
+        split = split_mask(dataset, config.holdout_fraction, config.split_seed)
+        labels = np.asarray(dataset.group_labels)
+        users = {"all": np.arange(dataset.num_users)}
+        users.update((label, np.flatnonzero(labels == label)) for label in GROUP_LABELS)
+        return run_experiment(config), dataset, split, users
+
+    def test_gap_profile_train_averages_train_profiles(self):
+        report, dataset, split, users = self.run_with_inputs(gap_profile="train")
+        pop = compute_popularity(dataset)
+        for group, gm in report.model_groups["popularity"].items():
+            train = gap([split.train.profile(u) for u in users[group].tolist()], pop)
+            full = gap([dataset.profile(u) for u in users[group].tolist()], pop)
+            assert train != full
+            assert gm.gap_p == train
+
+    def test_train_only_popularity_counts_train_listeners(self):
+        report, dataset, split, users = self.run_with_inputs(popularity_scope="train-only")
+        train_pop = compute_popularity(dataset, "train-only", split)
+        for group, gm in report.model_groups["popularity"].items():
+            profiles = [dataset.profile(u) for u in users[group].tolist()]
+            assert gap(profiles, train_pop) != gap(profiles, compute_popularity(dataset))
+            assert gm.gap_p == gap(profiles, train_pop)
 
     def test_kv_lines_shape(self):
         report = run_experiment(ExperimentConfig.from_dict(tiny_raw_config()))
