@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParseError, ValidationError
+from .errors import NumericalError, ParseError, ValidationError
 
 GROUP_LABELS = ("low", "medium", "high")
 GROUP_HEADER_LABELS = ("group", "label")  # a groups file's header names its label column
@@ -146,7 +147,6 @@ class TailStats:
     num_artists: int
     num_pairs: int
     coverage_curve: list[tuple[float, float]]
-    trainable_artists: int | None = None
 
     def coverage_at(self, fraction: float) -> float:
         for f, c in self.coverage_curve:
@@ -195,6 +195,22 @@ class SyntheticConfig:
             raise ValidationError("mainstream_mix must be three finite non-negative biases")
         if not 0 < self.count_geometric_p <= 1:
             raise ValidationError("count_geometric_p must be in (0, 1]")
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise ``NumericalError`` when ``nbytes`` exceed the machine's physical memory.
+
+    Callers pass the bytes of the arrays they are about to allocate (the
+    synthetic generator, each learner's state), so a request that cannot fit
+    fails with a message instead of NumPy's ``MemoryError`` or the kernel's
+    out-of-memory killer.
+    """
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > physical:
+        raise NumericalError(
+            f"{what} needs {nbytes:,} bytes, more than the {physical:,} bytes of "
+            f"physical memory"
+        )
 
 
 def _user_rng(seed: int, user: int) -> np.random.Generator:
@@ -409,28 +425,14 @@ def write_interactions(dataset: InteractionDataset, path, group_path=None):
                                  for user_id, label in zip(dataset.users, dataset.group_labels)))
 
 
-def compute_popularity(
-    dataset: InteractionDataset,
-    scope: str = "all-data",
-    split: SplitDataset | None = None,
-) -> PopularityTable:
-    """Per-artist phi: the fraction of users with at least one play.
+def compute_popularity(dataset: InteractionDataset) -> PopularityTable:
+    """Per-artist phi: the fraction of users with at least one play in ``dataset``.
 
-    ``scope="all-data"`` counts listeners in ``dataset``; ``scope="train-only"``
-    counts them in ``split.train`` (the split must be supplied).  Artists with
-    no listeners in scope get phi = 0.
+    Artists with no listeners get phi = 0.
     """
     if dataset.num_users == 0:
         raise ValidationError("cannot compute popularity of an empty dataset")
-    if scope == "all-data":
-        counts = dataset.counts
-    elif scope == "train-only":
-        if split is None:
-            raise ValidationError("train-only popularity requires a split")
-        counts = split.train.counts
-    else:
-        raise ValidationError(f"unknown popularity scope {scope!r}")
-    listeners = counts.getnnz(axis=0).astype(np.int64)
+    listeners = dataset.counts.getnnz(axis=0).astype(np.int64)
     phi = listeners / dataset.num_users
     return PopularityTable(phi=phi, listeners=listeners, num_users=dataset.num_users)
 
@@ -516,9 +518,7 @@ def split_mask(
     )
 
 
-def long_tail_stats(
-    dataset: InteractionDataset, split: SplitDataset | None = None
-) -> TailStats:
+def long_tail_stats(dataset: InteractionDataset) -> TailStats:
     """Coverage curve: fraction of interactions owned by the top artists.
 
     The curve is sampled at 1% and every 5% step of the artist catalogue,
@@ -533,15 +533,11 @@ def long_tail_stats(
         k = max(1, math.ceil(frac * dataset.num_artists))
         k = min(k, dataset.num_artists)
         curve.append((frac, float(cum[k - 1] / total)))
-    trainable = None
-    if split is not None:
-        trainable = int((split.train.counts.getnnz(axis=0) > 0).sum())
     return TailStats(
         num_users=dataset.num_users,
         num_artists=dataset.num_artists,
         num_pairs=total,
         coverage_curve=curve,
-        trainable_artists=trainable,
     )
 
 
@@ -558,11 +554,19 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> InteractionDataset
     if seed < 0:
         raise ValidationError("seed must be a non-negative integer")
     nu, na = config.num_users, config.num_artists
+    uw = len(str(nu - 1))
+    aw = len(str(na - 1))
+    # five float64 arrays per artist (the base weights, one group's powers and
+    # the three groups' weights), and a string and a list slot per identifier:
+    # a lower bound, as the peak also holds sampling copies and identifier sets
+    require_memory(
+        na * (5 * 8 + sys.getsizeof("a" * (aw + 1)) + 8)
+        + nu * (sys.getsizeof("u" * (uw + 1)) + 2 * 8),
+        f"a synthetic dataset of {nu:,} users x {na:,} artists",
+    )
     with np.errstate(over="ignore"):  # an overflowing power gives weight 0, checked below
         base = 1.0 / np.arange(1, na + 1, dtype=np.float64) ** config.zipf_exponent
     lo, hi = config.profile_size_range
-    uw = len(str(nu - 1))
-    aw = len(str(na - 1))
     users = [f"u{idx:0{uw}d}" for idx in range(nu)]
     artists = [f"a{idx:0{aw}d}" for idx in range(na)]
     group_of = [GROUP_LABELS[u * 3 // nu] for u in range(nu)]

@@ -173,21 +173,21 @@ def _model_spec(entry, path: str) -> ModelSpec:
 
 @dataclass
 class ExperimentConfig:
-    """Everything an experiment run needs, in one deterministic record."""
+    """Everything an experiment run needs; ``from_dict`` spells every default."""
 
     models: list[ModelSpec]
-    interactions_path: str | None = None
-    groups_path: str | None = None
-    synthetic: SyntheticConfig | None = None
-    dataset_seed: int = 0
-    holdout_fraction: float = 0.2
-    split_seed: int = 0
-    tune_seed: int = 0
-    seed: int = 0
-    top_n: int = 10
-    ap_k: int | None = None
-    popularity_scope: str = "all-data"
-    gap_profile: str = "full"
+    interactions_path: str | None
+    groups_path: str | None
+    synthetic: SyntheticConfig | None
+    dataset_seed: int
+    holdout_fraction: float
+    split_seed: int
+    tune_seed: int
+    seed: int
+    top_n: int
+    ap_k: int | None
+    popularity_scope: str
+    gap_profile: str
 
     def __post_init__(self):
         if (self.interactions_path is None) == (self.synthetic is None):
@@ -386,22 +386,22 @@ def _ranked_users(model, split: SplitDataset, top_n: int | None = None):
 
 def evaluate_model(
     model: RecommenderModel,
-    dataset: InteractionDataset,
+    profiles: InteractionDataset,
     split: SplitDataset,
     pop: PopularityTable,
     group_labels: list[str],
     top_n: int = 10,
-    gap_profile: str = "full",
 ) -> ModelEvaluation:
     """Per-user AUC and retained top-N, aggregated per mainstream group.
 
     Users whose masked set is empty, or whose candidate list has no negative,
-    are skipped for AUC and counted; GAP aggregates run over every user with
-    a non-empty recommendation list.  AUC comes from where the positives land
-    in the ranking, by the same integer formula as ``metrics.auc``; only the
-    top-N list and those positions are computed, never the full ranking.
+    are skipped for AUC and counted.  GAP_p averages each group's profiles in
+    ``profiles`` (the dataset, or its train split); GAP_r runs over every user
+    with a non-empty recommendation list.  AUC comes from where the positives
+    land in the ranking, by the same integer formula as ``metrics.auc``; only
+    the top-N list and those positions are computed, never the full ranking.
     """
-    num_users = dataset.num_users
+    num_users = profiles.num_users
     per_user_auc = np.full(num_users, math.nan)
     tops = []
     for u, (top, ranks, num_candidates) in enumerate(_ranked_users(model, split, top_n)):
@@ -413,7 +413,6 @@ def evaluate_model(
         # concordant pairs = sum over positives of negatives ranked below them
         per_user_auc[u] = (p * n + p * (p - 1) // 2 - int(ranks.sum())) / (p * n)
 
-    profile_of = dataset.profile if gap_profile == "full" else split.train.profile
     group_metrics = {}
     for group, idx in _group_indices(group_labels, num_users).items():
         if idx.size == 0:
@@ -424,7 +423,7 @@ def evaluate_model(
             auc_mean, auc_stderr = mean_with_stderr(valid)
         else:
             auc_mean, auc_stderr = math.nan, None
-        gap_p = gap((profile_of(int(u)) for u in idx), pop)
+        gap_p = gap((profiles.profile(int(u)) for u in idx), pop)
         rec_sets = [tops[int(u)] for u in idx if len(tops[int(u)])]
         gap_r = gap(rec_sets, pop) if rec_sets else math.nan
         group_metrics[group] = GroupMetrics(
@@ -534,9 +533,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     split = _stage("split", split_mask, dataset, config.holdout_fraction, config.split_seed)
     pop_all = _stage("popularity", compute_popularity, dataset)
     if config.popularity_scope == "train-only":
-        pop_eval = _stage("popularity", compute_popularity, dataset, "train-only", split)
+        pop_eval = _stage("popularity", compute_popularity, split.train)
     else:
         pop_eval = pop_all
+    profiles = dataset if config.gap_profile == "full" else split.train
     if dataset.group_labels is not None:
         group_labels = dataset.group_labels
     else:
@@ -557,8 +557,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         model = build_model(spec.name, hyper, default_seed)
         _stage(f"fit:{spec.name}", model.fit, split.train)
         evaluation = _stage(
-            f"evaluate:{spec.name}", evaluate_model, model, dataset, split, pop_eval,
-            group_labels, config.top_n, config.gap_profile,
+            f"evaluate:{spec.name}", evaluate_model, model, profiles, split, pop_eval,
+            group_labels, config.top_n,
         )
         model_groups[spec.name] = evaluation.groups
 

@@ -154,6 +154,8 @@ def read_simulated_records(path) -> SimulatedRecords:
         header = next(reader)
     except StopIteration:
         raise ParseError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if [h.strip() for h in header] != EXPECTED_HEADER:
         raise ParseError(
             f"{path}: line 1: expected header {','.join(EXPECTED_HEADER)}"

@@ -16,12 +16,11 @@ N-th best score, the second from one sort of the score values.
 from __future__ import annotations
 
 import abc
-import os
 
 import numpy as np
 
 from ..corpus import InteractionDataset
-from ..errors import NumericalError, ValidationError
+from ..errors import ValidationError
 
 
 class RecommenderModel(abc.ABC):
@@ -44,21 +43,6 @@ class RecommenderModel(abc.ABC):
     def _require_fitted(self):
         if not self.is_fitted:
             raise ValidationError(f"{type(self).__name__} is not fitted")
-
-
-def require_memory(nbytes: int, what: str) -> None:
-    """Raise ``NumericalError`` when ``nbytes`` exceed the machine's physical memory.
-
-    Learners call this with the bytes of their state before allocating it, so
-    a request that cannot fit fails with a message instead of NumPy's
-    ``MemoryError`` or the kernel's out-of-memory killer.
-    """
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > physical:
-        raise NumericalError(
-            f"{what} needs {nbytes:,} bytes, more than the {physical:,} bytes of "
-            f"physical memory"
-        )
 
 
 class PopularityRecommender(RecommenderModel):

@@ -17,9 +17,9 @@ import math
 
 import numpy as np
 
-from ..corpus import InteractionDataset
+from ..corpus import InteractionDataset, require_memory
 from ..errors import NumericalError, ValidationError
-from .base import RecommenderModel, require_memory
+from .base import RecommenderModel
 
 PARAM_KEYS = (
     "w_enc", "b_enc",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..corpus import InteractionDataset
+from ..corpus import InteractionDataset, require_memory
 from ..errors import NumericalError, ValidationError
 from .base import RecommenderModel
 
@@ -41,6 +41,10 @@ def _candidate_pattern(gram, col_norms, non_negative):
         rows, cols, vals = coo.row, coo.col, coo.data
     else:
         live = np.flatnonzero(col_norms > 0).astype(np.int32)
+        # the fit peaks at about 38.5 B per pair (tracemalloc): int32 cols and
+        # flip, float64 corr, w and partial, and a sweep's temporaries
+        require_memory(40 * live.size**2,
+                       f"the signed all-pairs pattern of {live.size:,} artists")
         rows = np.repeat(live, live.size)
         cols = np.tile(live, live.size)
         vals = gram[live][:, live].toarray().ravel()

@@ -23,9 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from ..corpus import InteractionDataset
+from ..corpus import InteractionDataset, require_memory
 from ..errors import NumericalError, ValidationError
-from .base import RecommenderModel, require_memory
+from .base import RecommenderModel
 
 CONFIDENCE_MODES = ("linear", "log")
 

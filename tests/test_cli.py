@@ -246,7 +246,9 @@ def test_gapcalc_user_with_two_groups_exits_2(tmp_path, capsys):
     ("run", "[" * 100_000 + "]" * 100_000, "invalid JSON: maximum recursion depth"),
     ("gapcalc", HEADER + "\ns,a,low,profile-seed,X,5,\n" + "x" * (2**17 + 1) + "\n",
      "line 3: field larger than field limit"),
-], ids=["5001-digit seed", "100000-deep array", "csv field over 131072 characters"])
+    ("gapcalc", "x" * (2**17 + 1) + "\n", "line 1: field larger than field limit"),
+], ids=["5001-digit seed", "100000-deep array", "csv field over 131072 characters",
+        "csv header field over 131072 characters"])
 def test_input_past_a_parser_limit_exits_2(tmp_path, capsys, command, text, message):
     path = write(tmp_path / "input", text)
     flag = {"run": "--config", "gapcalc": "--records"}[command]
@@ -318,6 +320,18 @@ def test_synth_bad_weights_exit_2(tmp_path, capsys, flags, message):
     assert main(argv + flags) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_synth_catalogue_larger_than_memory_exits_3(tmp_path, capsys):
+    out = tmp_path / "synth"
+    argv = ["synth", "--users", "3", "--artists", str(10**13), "--profile-min", "1",
+            "--profile-max", "1", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"a synthetic dataset of 3 users x 10,000,000,000,000 artists needs "
+                     r"[\d,]+ bytes, more than the [\d,]+ bytes", err)
     assert "Traceback" not in err
     assert not out.exists()
 

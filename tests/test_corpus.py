@@ -231,18 +231,13 @@ class TestPopularity:
         pop = compute_popularity(ds)
         assert pop.phi[1] == 0.25
 
-    def test_train_scope_requires_split(self):
-        ds = make_dataset([[1, 1], [1, 1]])
-        with pytest.raises(ValidationError):
-            compute_popularity(ds, scope="train-only")
-
     def test_train_vs_all_bounded_by_masked_listeners(self):
         rng = np.random.default_rng(5)
         for trial in range(20):
             ds = random_dataset(rng)
             split = split_mask(ds, 0.3, seed=trial)
             pop_all = compute_popularity(ds)
-            pop_train = compute_popularity(ds, scope="train-only", split=split)
+            pop_train = compute_popularity(split.train)
             masked_listeners = np.zeros(ds.num_artists)
             for hidden in split.masked:
                 masked_listeners[hidden] += 1
@@ -360,13 +355,6 @@ class TestTailStats:
         assert fracs == sorted(fracs)
         assert covs == sorted(covs)
         assert stats.coverage_curve[-1] == (1.0, pytest.approx(1.0))
-
-    def test_trainable_artists(self):
-        ds = make_dataset([[1, 1, 0], [1, 0, 1]])
-        split = split_mask(ds, 0.5, seed=1)
-        stats = long_tail_stats(ds, split)
-        expected = int((split.train.counts.getnnz(axis=0) > 0).sum())
-        assert stats.trainable_artists == expected
 
     def test_export(self, tmp_path):
         ds = make_dataset(np.ones((4, 20), dtype=int))

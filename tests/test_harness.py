@@ -425,7 +425,7 @@ class TestRunExperiment:
 
     def test_train_only_popularity_counts_train_listeners(self):
         report, dataset, split, users = self.run_with_inputs(popularity_scope="train-only")
-        train_pop = compute_popularity(dataset, "train-only", split)
+        train_pop = compute_popularity(split.train)
         for group, gm in report.model_groups["popularity"].items():
             profiles = [dataset.profile(u) for u in users[group].tolist()]
             assert gap(profiles, train_pop) != gap(profiles, compute_popularity(dataset))

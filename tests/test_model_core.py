@@ -260,7 +260,7 @@ class TestPopularityDominance:
             ds = random_dataset(rng, num_users=12, num_artists=14)
             split = split_mask(ds, 0.3, seed=trial)
             train = split.train
-            pop_train = compute_popularity(ds, scope="train-only", split=split)
+            pop_train = compute_popularity(train)
             contenders = [
                 RandomRecommender(seed=trial).fit(train),
                 SlimRecommender(l1_penalty=0.1, l2_penalty=0.1, max_iters=50).fit(train),

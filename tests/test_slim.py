@@ -145,6 +145,15 @@ class TestFit:
         assert np.isin(W.indices, listened).all()
         assert np.isin(np.flatnonzero(np.diff(W.indptr)), listened).all()
 
+    def test_signed_pattern_larger_than_memory_raises_before_allocating(self):
+        # 200k artists with plays: the signed path's 4e10 pairs need about 1.6 TB
+        n = 200_000
+        ds = InteractionDataset([f"u{u}" for u in range(n)], [f"a{a}" for a in range(n)],
+                                sp.identity(n, dtype=np.int64, format="csr"))
+        with pytest.raises(NumericalError, match=r"the signed all-pairs pattern of 200,000 "
+                           r"artists needs [\d,]+ bytes, more than the [\d,]+ bytes"):
+            SlimRecommender(non_negative=False).fit(ds)
+
     def test_non_finite_update_raises_naming_column(self, monkeypatch):
         # column 1's tiny norm makes column 0's update overflow to inf
         ds = make_dataset([[1, 1]])
