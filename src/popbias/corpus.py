@@ -30,6 +30,7 @@ COVERAGE_FRACTIONS = (0.01,) + tuple(round(0.05 * i, 2) for i in range(1, 21))
 
 # Counts are stored as int64; a summed count above this cannot be.
 _MAX_COUNT = int(np.iinfo(np.int64).max)
+_MAX_COUNT_DIGITS = len(str(_MAX_COUNT))
 
 
 class InteractionDataset:
@@ -326,30 +327,25 @@ def ingest_interactions(path, group_path=None) -> InteractionDataset:
 
     Lines starting with ``#`` and blank lines are skipped.  The first data
     line is a header, and skipped, when its count field is not a number at all
-    (``count``, not ``3.5``).  Duplicate (user, artist) records are summed, and
-    a sum that int64 cannot hold is rejected at its line.  Identifier maps are
-    sorted, so the same records in any order give equal datasets.  When
-    ``group_path`` is given it must assign one of low/medium/high to every
-    user in the interactions file.
+    (``count``, not ``3.5``).  A count is ASCII digits, and one with more digits
+    than ``2**63 - 1`` is rejected by its digit count.  Duplicate (user, artist)
+    records are summed, and a sum that int64 cannot hold is rejected at its
+    line.  Identifier maps are sorted, so the same records in any order give
+    equal datasets.  When ``group_path`` is given it must assign one of
+    low/medium/high to every user in the interactions file.
     """
     by_pair: dict[tuple[str, str], int] = {}
     records = _tsv_rows(path, 3, lambda fields: not _is_number(fields[2]))
     for lineno, (user_id, artist_id, count_str) in records:
-        try:
-            count = int(count_str)
-        except ValueError:
-            if not (count_str.isascii() and count_str.isdigit()):
-                raise ParseError(
-                    f"{path}: line {lineno}: count {count_str!r} is not an integer"
-                ) from None
-            # past Python's int-string limit: only leading zeros can keep it in range
-            digits = count_str.lstrip("0")
-            if len(digits) > len(str(_MAX_COUNT)):
-                raise ValidationError(
-                    f"{path}: line {lineno}: play count of {len(digits)} digits for user "
-                    f"{user_id!r}, artist {artist_id!r} exceeds {_MAX_COUNT}"
-                ) from None
-            count = int(digits or "0")
+        if not (count_str.isascii() and count_str.isdigit()):
+            raise ParseError(f"{path}: line {lineno}: count {count_str!r} is not an integer")
+        digits = count_str.lstrip("0")
+        if len(digits) > _MAX_COUNT_DIGITS:
+            raise ValidationError(
+                f"{path}: line {lineno}: play count of {len(digits)} digits for user "
+                f"{user_id!r}, artist {artist_id!r} exceeds {_MAX_COUNT}"
+            )
+        count = int(digits or "0")
         if count < 1:
             raise ValidationError(f"{path}: line {lineno}: count {count} < 1")
         key = (user_id, artist_id)

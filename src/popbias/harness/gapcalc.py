@@ -95,6 +95,8 @@ def _measure(column: str, text: str) -> float:
     if text == "":
         return math.nan
     try:
+        if not text.isascii() or "_" in text:  # float() reads "٣" and "1_0" too
+            raise ValueError
         value = float(text)
     except ValueError:
         raise ParseError(f"{column} {text!r} is not a number") from None

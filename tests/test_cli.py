@@ -416,12 +416,37 @@ def test_ingest_group_cross_check_names_the_groups_file(data_file, tmp_path, cap
 
 def test_ingest_count_past_the_int_string_limit_exits_2(tmp_path, capsys):
     big = write(tmp_path / "big.tsv", "u1\ta1\t5\nu2\ta7\t" + "9" * 5001 + "\n")
-    assert main(["ingest", "--data", str(big)]) == 2
+    limit = sys.get_int_max_str_digits()
+    try:
+        for max_digits in (limit, 0):  # the message does not depend on the limit
+            sys.set_int_max_str_digits(max_digits)
+            assert main(["ingest", "--data", str(big)]) == 2
+            err = capsys.readouterr().err
+            assert (f"error: {big}: line 2: play count of 5001 digits for user 'u2', "
+                    f"artist 'a7' exceeds {2**63 - 1}") in err
+            assert "9" * 100 not in err
+            assert "Traceback" not in err
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("count", ["٣", "５", "1_000", "+5", " 7", "-1"],
+                         ids=["arabic-indic", "full-width", "underscore", "plus", "padded",
+                              "negative"])
+def test_ingest_count_that_is_not_ascii_digits_exits_2(tmp_path, capsys, count):
+    data = write(tmp_path / "d.tsv", f"u1\ta1\t5\nu2\ta7\t{count}\n")
+    out = tmp_path / "out.tsv"
+    assert main(["ingest", "--data", str(data), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert (f"error: {big}: line 2: play count of 5001 digits for user 'u2', artist 'a7' "
-            f"exceeds {2**63 - 1}") in err
-    assert "9" * 100 not in err
+    assert f"error: {data}: line 2: count {count!r} is not an integer" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_ingest_zero_count_exits_2_as_below_one(tmp_path, capsys):
+    data = write(tmp_path / "d.tsv", "u1\ta1\t5\nu2\ta7\t000\n")
+    assert main(["ingest", "--data", str(data)]) == 2
+    assert f"error: {data}: line 2: count 0 < 1" in capsys.readouterr().err
 
 
 def _never_called(*args, **kwargs):

@@ -1,9 +1,10 @@
 """Mutated input files never end in a traceback.
 
-Small valid inputs for ``ingest`` (with and without a groups file) and
-``gapcalc`` are mutated (truncated, byte-flipped, fields swapped for huge,
-non-finite, negative or overlong values, blank and duplicated lines) and fed
-to ``cli.main`` in-process.  Every run must return 0, 2 or 3 and raise
+Small valid inputs for ``ingest`` (with and without a groups file),
+``split``, ``tailplot`` and ``gapcalc`` are mutated (truncated, byte-flipped,
+fields swapped for huge, non-finite, negative or overlong values, blank and
+duplicated lines) and fed to ``cli.main`` in-process, with any ``--out`` in
+the same temporary directory.  Every run must return 0, 2 or 3 and raise
 nothing.  The example budget is fixed and the search derandomized, so the
 test costs the same few seconds on every run.
 """
@@ -77,11 +78,14 @@ CASES = [
     (["ingest", "--data", "d.tsv", "--groups", "g.tsv"], "d.tsv"),
     (["ingest", "--data", "d.tsv", "--groups", "g.tsv"], "g.tsv"),
     (["gapcalc", "--records", "r.csv"], "r.csv"),
+    (["split", "--data", "d.tsv", "--out", "out"], "d.tsv"),
+    (["tailplot", "--data", "d.tsv", "--out", "out"], "d.tsv"),
 ]
 FILES = {"d.tsv": (INTERACTIONS, b"\t"), "g.tsv": (GROUPS, b"\t"), "r.csv": (RECORDS, b",")}
+PATHS = {*FILES, "out"}  # argv names that stand for a path in the temp dir
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+@settings(max_examples=180, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=st.sampled_from(CASES), mutations=st.lists(MUTATION, min_size=1, max_size=4))
 def test_mutated_inputs_exit_0_2_or_3(case, mutations):
@@ -92,5 +96,5 @@ def test_mutated_inputs_exit_0_2_or_3(case, mutations):
                                            else data)
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = main([str(Path(tmp) / a) if a in FILES else a for a in argv])
+            code = main([str(Path(tmp) / a) if a in PATHS else a for a in argv])
     assert code in (0, 2, 3)

@@ -98,6 +98,23 @@ class TestReading:
         with pytest.raises(ValidationError, match="outside"):
             read_simulated_records(path)
 
+    @pytest.mark.parametrize("column, text", [
+        ("spotify_popularity", "٣٠"),
+        ("spotify_popularity", "1_0"),
+        ("spotify_popularity", "５"),
+        ("lfm_phi", "0.٥"),
+        ("lfm_phi", "0.1_0"),
+    ])
+    def test_measure_that_is_not_an_ascii_number_rejected(self, tmp_path, column, text):
+        cells = f"{text}," if column == "spotify_popularity" else f",{text}"
+        path = records_path(tmp_path, [
+            "spotify,a,low,profile-seed,X,50,0.5",
+            f"spotify,a,low,recommended,Y,{cells}",
+        ])
+        with pytest.raises(ParseError) as info:
+            read_simulated_records(path)
+        assert str(info.value) == f"{path}: line 3: {column} {text!r} is not a number"
+
     def test_blank_rows_are_not_records(self, tmp_path):
         path = records_path(tmp_path, [
             "",

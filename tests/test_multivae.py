@@ -8,7 +8,8 @@ from popbias.errors import ValidationError
 from popbias.models import MultiVaeRecommender, elbo_loss, gradient, kl_gaussian
 from popbias.models.multivae import PARAM_KEYS, _batch_loss_and_grads, init_params
 
-from conftest import make_dataset
+from conftest import make_dataset, random_dataset
+from multivae_reference import reference_fit
 
 
 def tiny_instance(seed, num_items=12, hidden=8, latent=4):
@@ -189,6 +190,29 @@ class TestFit:
         ):
             with pytest.raises(ValidationError):
                 MultiVaeRecommender(**bad)
+
+
+class TestMatchesReference:
+    """Byte-equal to the allocating training step (tests/multivae_reference.py)."""
+
+    @pytest.mark.parametrize("seed, dropout_keep, anneal_steps, batch_size", [
+        (0, 1.0, 0, 4),
+        (1, 0.5, 0, 5),
+        (2, 1.0, 7, 3),
+        (3, 0.5, 3, 4),
+        (4, 0.5, 0, 64),
+    ])
+    def test_fit_params_and_loss_curve(self, seed, dropout_keep, anneal_steps, batch_size):
+        # 11 users: every batch size leaves a short last batch
+        ds = random_dataset(np.random.default_rng(seed), num_users=11)
+        kwargs = dict(latent_dim=3, hidden_dim=6, beta_max=0.3, anneal_steps=anneal_steps,
+                      epochs=4, batch_size=batch_size, learning_rate=0.4,
+                      dropout_keep=dropout_keep, init_seed=seed)
+        model = MultiVaeRecommender(**kwargs).fit(ds)
+        params, loss_curve = reference_fit(ds, **kwargs)
+        assert np.array(model.loss_curve_).tobytes() == np.array(loss_curve).tobytes()
+        for key in PARAM_KEYS:
+            assert model.params_[key].tobytes() == params[key].tobytes(), key
 
 
 class TestScoring:
