@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: ingest, synth, split, tune, run, gapcalc, tailplot.  Exit codes:
+Subcommands: ingest, synth, split, tune, run, gapcalc, tailplot.  Numeric
+options take ASCII numbers without ``_``, as the input files do.  Exit codes:
 0 success; 2 validation/parse error, including an input that cannot be read
 or is not UTF-8 and an output path that cannot be written; 3 numerical or
 other processing error.
@@ -16,6 +17,8 @@ from pathlib import Path
 
 from .corpus import (
     SyntheticConfig,
+    ascii_float,
+    ascii_int,
     check_writable_dir,
     generate_synthetic,
     ingest_interactions,
@@ -166,34 +169,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic long-tail dataset")
-    p.add_argument("--users", type=int, required=True)
-    p.add_argument("--artists", type=int, required=True)
-    p.add_argument("--exponent", type=float, default=1.0)
-    p.add_argument("--profile-min", type=int, default=10)
-    p.add_argument("--profile-max", type=int, default=40)
-    p.add_argument("--mix", type=float, nargs=3, default=[0.3, 1.0, 2.2],
+    p.add_argument("--users", type=ascii_int, required=True)
+    p.add_argument("--artists", type=ascii_int, required=True)
+    p.add_argument("--exponent", type=ascii_float, default=1.0)
+    p.add_argument("--profile-min", type=ascii_int, default=10)
+    p.add_argument("--profile-max", type=ascii_int, default=40)
+    p.add_argument("--mix", type=ascii_float, nargs=3, default=[0.3, 1.0, 2.2],
                    metavar=("LOW", "MED", "HIGH"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=ascii_int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("split", help="mask a per-user holdout from a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--groups")
-    p.add_argument("--fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--fraction", type=ascii_float, default=0.2)
+    p.add_argument("--seed", type=ascii_int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("tune", help="grid-tune the models in a config")
     p.add_argument("--config", required=True, help="JSON experiment config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=ascii_int)
     p.add_argument("--out", help="write tuning.json here")
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("run", help="run a full experiment from a config")
     p.add_argument("--config", required=True, help="JSON experiment config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=ascii_int)
     p.add_argument("--out", help="write report.txt / report.kv here")
     p.set_defaults(func=_cmd_run)
 

@@ -111,21 +111,6 @@ class InteractionDataset:
 
 
 @dataclass
-class PopularityTable:
-    """Per-artist popularity: the fraction of users reached by each artist."""
-
-    phi: np.ndarray
-    listeners: np.ndarray
-    num_users: int
-
-    def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=np.float64)
-        self.listeners = np.asarray(self.listeners, dtype=np.int64)
-        if self.phi.shape != self.listeners.shape:
-            raise ValidationError("phi and listeners must have the same length")
-
-
-@dataclass
 class SplitDataset:
     """A train/holdout partition of each user's profile.
 
@@ -136,17 +121,13 @@ class SplitDataset:
 
     train: InteractionDataset
     masked: list[np.ndarray]
-    seed: int
-    holdout_fraction: float
 
 
 @dataclass
 class TailStats:
     """Summary of how concentrated interactions are among popular artists."""
 
-    num_users: int
     num_artists: int
-    num_pairs: int
     coverage_curve: list[tuple[float, float]]
 
     def coverage_at(self, fraction: float) -> float:
@@ -314,6 +295,22 @@ def _tsv_rows(path, width: int, is_header):
         yield lineno, fields
 
 
+def _require_ascii(text: str) -> str:
+    if not text.isascii() or "_" in text:  # int() and float() read "٣" and "1_0" too
+        raise ValueError(f"{text!r} is not an ASCII number")
+    return text
+
+
+def ascii_int(text: str) -> int:
+    """``int(text)`` for text that is ASCII and holds no ``_``, else ``ValueError``."""
+    return int(_require_ascii(text))
+
+
+def ascii_float(text: str) -> float:
+    """``float(text)`` for text that is ASCII and holds no ``_``, else ``ValueError``."""
+    return float(_require_ascii(text))
+
+
 def _is_number(text: str) -> bool:
     try:
         float(text)
@@ -421,38 +418,34 @@ def write_interactions(dataset: InteractionDataset, path, group_path=None):
                                  for user_id, label in zip(dataset.users, dataset.group_labels)))
 
 
-def compute_popularity(dataset: InteractionDataset) -> PopularityTable:
-    """Per-artist phi: the fraction of users with at least one play in ``dataset``.
+def compute_popularity(dataset: InteractionDataset) -> np.ndarray:
+    """Per-artist phi (float64): the fraction of users with a play in ``dataset``.
 
     Artists with no listeners get phi = 0.
     """
     if dataset.num_users == 0:
         raise ValidationError("cannot compute popularity of an empty dataset")
-    listeners = dataset.counts.getnnz(axis=0).astype(np.int64)
-    phi = listeners / dataset.num_users
-    return PopularityTable(phi=phi, listeners=listeners, num_users=dataset.num_users)
+    return dataset.counts.getnnz(axis=0).astype(np.int64) / dataset.num_users
 
 
-def user_mainstreaminess(dataset: InteractionDataset, pop: PopularityTable) -> np.ndarray:
+def user_mainstreaminess(dataset: InteractionDataset, phi: np.ndarray) -> np.ndarray:
     """Mean phi over each user's profile."""
-    if len(pop.phi) != dataset.num_artists:
+    if len(phi) != dataset.num_artists:
         raise ValidationError("popularity table does not cover all artists")
     binary = dataset.counts.copy()
     binary.data = np.ones_like(binary.data)
-    sums = binary @ pop.phi
+    sums = binary @ phi
     sizes = np.diff(dataset.counts.indptr)
     return sums / sizes
 
 
-def assign_mainstream_groups(
-    dataset: InteractionDataset, pop: PopularityTable
-) -> list[str]:
+def assign_mainstream_groups(dataset: InteractionDataset, phi: np.ndarray) -> list[str]:
     """Split users into equal-size (+/- 1) low/medium/high mainstream terciles.
 
     Users are ordered by mainstreaminess score ascending; ties at tercile
     boundaries break by ascending user index.
     """
-    scores = user_mainstreaminess(dataset, pop)
+    scores = user_mainstreaminess(dataset, phi)
     n = dataset.num_users
     order = np.argsort(scores, kind="stable")
     cut1, cut2 = n // 3, (2 * n) // 3
@@ -509,9 +502,7 @@ def split_mask(
     train = InteractionDataset(
         dataset.users, dataset.artists, train_counts, dataset.group_labels
     )
-    return SplitDataset(
-        train=train, masked=masked, seed=seed, holdout_fraction=holdout_fraction
-    )
+    return SplitDataset(train=train, masked=masked)
 
 
 def long_tail_stats(dataset: InteractionDataset) -> TailStats:
@@ -529,12 +520,7 @@ def long_tail_stats(dataset: InteractionDataset) -> TailStats:
         k = max(1, math.ceil(frac * dataset.num_artists))
         k = min(k, dataset.num_artists)
         curve.append((frac, float(cum[k - 1] / total)))
-    return TailStats(
-        num_users=dataset.num_users,
-        num_artists=dataset.num_artists,
-        num_pairs=total,
-        coverage_curve=curve,
-    )
+    return TailStats(num_artists=dataset.num_artists, coverage_curve=curve)
 
 
 def generate_synthetic(config: SyntheticConfig, seed: int) -> InteractionDataset:

@@ -30,7 +30,6 @@ from .. import __version__
 from ..corpus import (
     GROUP_LABELS,
     InteractionDataset,
-    PopularityTable,
     SplitDataset,
     SyntheticConfig,
     assign_mainstream_groups,
@@ -165,6 +164,10 @@ def _model_spec(entry, path: str) -> ModelSpec:
     params = inspect.signature(MODEL_FACTORIES[spec.name]).parameters.values()
     schema = {p.name: type(p.default) for p in params}
     _check_config(spec.hyperparams, schema, f"{path}.hyperparams")
+    try:  # the constructors check values, so a bad one fails here, not after earlier fits
+        MODEL_FACTORIES[spec.name](**spec.hyperparams)
+    except ValidationError as exc:
+        raise ValidationError(f"config {path}.hyperparams: {exc}") from exc
     if spec.grid is not None:
         spec.grid = [dict(_check_config(point, schema, f"{path}.grid[{j}]"))
                      for j, point in enumerate(spec.grid)]
@@ -292,7 +295,6 @@ class GroupMetrics:
 
 @dataclass
 class ModelEvaluation:
-    model_name: str
     per_user_auc: np.ndarray
     top_n: list[np.ndarray]
     groups: dict[str, GroupMetrics]
@@ -388,7 +390,7 @@ def evaluate_model(
     model: RecommenderModel,
     profiles: InteractionDataset,
     split: SplitDataset,
-    pop: PopularityTable,
+    phi: np.ndarray,
     group_labels: list[str],
     top_n: int = 10,
 ) -> ModelEvaluation:
@@ -423,9 +425,9 @@ def evaluate_model(
             auc_mean, auc_stderr = mean_with_stderr(valid)
         else:
             auc_mean, auc_stderr = math.nan, None
-        gap_p = gap((profiles.profile(int(u)) for u in idx), pop)
+        gap_p = gap((profiles.profile(int(u)) for u in idx), phi)
         rec_sets = [tops[int(u)] for u in idx if len(tops[int(u)])]
-        gap_r = gap(rec_sets, pop) if rec_sets else math.nan
+        gap_r = gap(rec_sets, phi) if rec_sets else math.nan
         group_metrics[group] = GroupMetrics(
             n_users=int(idx.size),
             n_skipped=int(idx.size - valid.size),
@@ -435,12 +437,7 @@ def evaluate_model(
             gap_r=gap_r,
             delta_gap=delta_gap(gap_p, gap_r) if rec_sets else math.nan,
         )
-    return ModelEvaluation(
-        model_name=model.model_type,
-        per_user_auc=per_user_auc,
-        top_n=tops,
-        groups=group_metrics,
-    )
+    return ModelEvaluation(per_user_auc=per_user_auc, top_n=tops, groups=group_metrics)
 
 
 def _mean_ap(model, split: SplitDataset, k: int) -> float | None:
@@ -531,16 +528,16 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         check_writable_dir(out_dir)
     dataset = _stage("dataset", _load_dataset, config)
     split = _stage("split", split_mask, dataset, config.holdout_fraction, config.split_seed)
-    pop_all = _stage("popularity", compute_popularity, dataset)
+    phi_all = _stage("popularity", compute_popularity, dataset)
     if config.popularity_scope == "train-only":
-        pop_eval = _stage("popularity", compute_popularity, split.train)
+        phi_eval = _stage("popularity", compute_popularity, split.train)
     else:
-        pop_eval = pop_all
+        phi_eval = phi_all
     profiles = dataset if config.gap_profile == "full" else split.train
     if dataset.group_labels is not None:
         group_labels = dataset.group_labels
     else:
-        group_labels = _stage("groups", assign_mainstream_groups, dataset, pop_all)
+        group_labels = _stage("groups", assign_mainstream_groups, dataset, phi_all)
 
     model_groups: dict[str, dict[str, GroupMetrics]] = {}
     tuning_results: dict[str, list[dict]] = {}
@@ -557,7 +554,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         model = build_model(spec.name, hyper, default_seed)
         _stage(f"fit:{spec.name}", model.fit, split.train)
         evaluation = _stage(
-            f"evaluate:{spec.name}", evaluate_model, model, profiles, split, pop_eval,
+            f"evaluate:{spec.name}", evaluate_model, model, profiles, split, phi_eval,
             group_labels, config.top_n,
         )
         model_groups[spec.name] = evaluation.groups
@@ -583,9 +580,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
 
 def emit_tail_plot_data(dataset: InteractionDataset, out_dir):
     """Write the popularity-by-rank series and the coverage curve as TSV files."""
-    pop = compute_popularity(dataset)
+    phi = compute_popularity(dataset)
     rank_path = write_lines(Path(out_dir) / "tail_rank_phi.tsv", chain(["# rank\tphi"], (
-        f"{rank}\t{phi:.6f}" for rank, phi in enumerate(np.sort(pop.phi)[::-1], start=1)
+        f"{rank}\t{value:.6f}" for rank, value in enumerate(np.sort(phi)[::-1], start=1)
     )))
     stats = long_tail_stats(dataset)
     coverage_path = stats.write_coverage(Path(out_dir) / "tail_coverage.tsv")

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import stdtr
 
-from ..corpus import GROUP_LABELS, read_lines, write_report_files
+from ..corpus import GROUP_LABELS, ascii_float, read_lines, write_report_files
 from ..errors import ParseError, PopBiasError, ValidationError
 from ..metrics import delta_gap
 
@@ -95,9 +95,7 @@ def _measure(column: str, text: str) -> float:
     if text == "":
         return math.nan
     try:
-        if not text.isascii() or "_" in text:  # float() reads "٣" and "1_0" too
-            raise ValueError
-        value = float(text)
+        value = ascii_float(text)
     except ValueError:
         raise ParseError(f"{column} {text!r} is not a number") from None
     lo, hi = RANGES[column]

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import PopularityTable
 from .errors import UndefinedMetricError, ValidationError
 
 
@@ -91,21 +90,22 @@ def average_precision_at_k(ranked: RankedCandidates, k: int) -> float:
     return total / min(k, ranked.num_positives)
 
 
-def gap(profiles, pop: PopularityTable) -> float:
+def gap(profiles, phi: np.ndarray) -> float:
     """Group Average Popularity: mean over users of their mean artist phi.
 
-    ``profiles`` is an iterable of per-user artist index sequences or arrays;
-    the same function serves both profile inputs (GAP over what users listen
-    to) and recommendation outputs (GAP over what they are recommended).
+    ``profiles`` is an iterable of per-user artist index sequences or arrays
+    and ``phi`` the per-artist popularity; the same function serves both
+    profile inputs (GAP over what users listen to) and recommendation outputs
+    (GAP over what they are recommended).
     """
     user_means = []
     for prof in profiles:
         arr = np.asarray(prof, dtype=np.int64)
         if arr.size == 0:
             raise ValidationError("GAP undefined for an empty user artist set")
-        if arr.max() >= len(pop.phi) or arr.min() < 0:
+        if arr.max() >= len(phi) or arr.min() < 0:
             raise ValidationError("artist index outside the popularity table")
-        user_means.append(float(pop.phi[arr].mean()))
+        user_means.append(float(phi[arr].mean()))
     if not user_means:
         raise ValidationError("GAP undefined for an empty user group")
     return float(np.mean(user_means))

@@ -468,3 +468,39 @@ def test_run_state_larger_than_memory_exits_3(tmp_path, capsys, monkeypatch, mod
     err = capsys.readouterr().err
     assert re.search(re.escape(message) + r"[\d,]+ bytes, more than the [\d,]+ bytes", err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--users", "٣٠", "--artists", "60", "--profile-min", "5", "--profile-max", "10"],
+    ["synth", "--users", "30", "--artists", "6_0", "--profile-min", "5", "--profile-max", "10"],
+    ["synth", "--users", "30", "--artists", "60", "--seed", "١"],
+    ["synth", "--users", "30", "--artists", "60", "--exponent", "1_0"],
+    ["synth", "--users", "30", "--artists", "60", "--mix", "0.3", "1.٠", "2"],
+    ["split", "--data", "DATA", "--fraction", "0.٥"],
+    ["split", "--data", "DATA", "--seed", "１"],
+    ["tune", "--config", "CONFIG", "--seed", "1_0"],
+    ["run", "--config", "CONFIG", "--seed", "1_0"],
+], ids=["synth users arabic-indic", "synth artists underscore", "synth seed arabic-indic",
+        "synth exponent underscore", "synth mix arabic-indic", "split fraction arabic-indic",
+        "split seed full-width", "tune seed underscore", "run seed underscore"])
+def test_numeric_option_that_is_not_ascii_exits_2(tmp_path, data_file, capsys, argv):
+    config = run_config(tmp_path, [{"name": "popularity"}])
+    out = tmp_path / "out"
+    paths = {"DATA": str(data_file), "CONFIG": str(config)}
+    with pytest.raises(SystemExit) as exc:
+        main([paths.get(a, a) for a in argv] + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid ascii_" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_fixed_hyperparameter_exits_2_before_the_dataset_stage(tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setattr("popbias.harness.experiment.generate_synthetic",
+                        lambda *args: pytest.fail("the dataset stage ran"))
+    config = run_config(tmp_path, [{"name": "popularity"},
+                                   {"name": "multivae", "hyperparams": {"epochs": 0}}])
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "error: config models[1].hyperparams: epochs and batch_size must be >= 1" in err
+    assert "Traceback" not in err

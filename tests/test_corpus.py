@@ -224,12 +224,17 @@ class TestPopularity:
     def test_everyone_listens(self):
         ds = make_dataset([[3, 1], [2, 0]])
         pop = compute_popularity(ds)
-        assert pop.phi[0] == 1.0
+        assert pop[0] == 1.0
 
     def test_quarter(self):
         ds = make_dataset([[1, 1], [1, 0], [1, 0], [1, 0]])
         pop = compute_popularity(ds)
-        assert pop.phi[1] == 0.25
+        assert pop[1] == 0.25
+
+    def test_phi_is_a_float64_vector(self):
+        phi = compute_popularity(make_dataset([[1, 1], [1, 0], [1, 0], [1, 0]]))
+        assert type(phi) is np.ndarray and phi.dtype == np.float64
+        assert phi.tolist() == [1.0, 0.25]
 
     def test_train_vs_all_bounded_by_masked_listeners(self):
         rng = np.random.default_rng(5)
@@ -241,9 +246,9 @@ class TestPopularity:
             masked_listeners = np.zeros(ds.num_artists)
             for hidden in split.masked:
                 masked_listeners[hidden] += 1
-            gap_vec = np.abs(pop_train.phi - pop_all.phi)
+            gap_vec = np.abs(pop_train - pop_all)
             assert np.all(gap_vec <= masked_listeners / ds.num_users + 1e-15)
-            assert np.all(pop_train.phi <= pop_all.phi + 1e-15)
+            assert np.all(pop_train <= pop_all + 1e-15)
 
 
 class TestMainstreamGroups:

@@ -1,7 +1,9 @@
 """The file boundary: only ``corpus.read_lines`` and ``corpus.write_lines``
 open, create or write files; every other module calls them.  The session
 analysis in ``harness/gapcalc.py`` reads and writes through ``corpus``, not
-through the experiment harness, and imports no learner."""
+through the experiment harness, and imports no learner.  ``metrics.py`` takes
+popularity as a plain φ vector and imports nothing from popbias but its
+errors."""
 
 import ast
 import re
@@ -55,3 +57,10 @@ def test_gapcalc_imports_no_learner():
     hits = sorted(name for name in imported_names(SRC / "harness" / "gapcalc.py")
                   if any(name == b or name.startswith(f"{b}.") for b in banned))
     assert not hits, f"harness/gapcalc.py imports {hits}"
+
+
+def test_metrics_imports_only_errors_from_popbias():
+    hits = sorted(name for name in imported_names(SRC / "metrics.py")
+                  if name.split(".")[0] == "popbias"
+                  and not (name == "popbias.errors" or name.startswith("popbias.errors.")))
+    assert not hits, f"metrics.py imports {hits}"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from popbias.corpus import PopularityTable
 from popbias.errors import UndefinedMetricError, ValidationError
 from popbias.metrics import (
     RankedCandidates,
@@ -148,9 +147,7 @@ class TestAveragePrecision:
 
 class TestGap:
     def pop(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        return PopularityTable(phi=phi, listeners=np.ones_like(phi, dtype=np.int64),
-                               num_users=10)
+        return np.asarray(phi, dtype=float)
 
     def test_single_user_mean(self):
         pop = self.pop([0.1, 0.3, 0.9])

@@ -288,9 +288,9 @@ class TestPopularityDominance:
         per_user_cand = []
         for u in range(ds.num_users):
             top = recommend_top_n(model, ds, u, 10)
-            per_user_rec.append(pop.phi[top].mean())
+            per_user_rec.append(pop[top].mean())
             cand = np.setdiff1d(np.arange(30), ds.profile(u))
-            per_user_cand.append(pop.phi[cand].mean())
+            per_user_cand.append(pop[cand].mean())
         diff = np.mean(per_user_rec) - np.mean(per_user_cand)
         stderr = np.std(per_user_rec, ddof=1) / np.sqrt(len(per_user_rec))
         assert abs(diff) <= 3 * stderr
