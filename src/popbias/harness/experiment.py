@@ -160,6 +160,10 @@ def _model_spec(entry, path: str) -> ModelSpec:
     if isinstance(_check_config(entry, (str, dict), path), str):
         entry = {"name": entry}
     _check_config(entry, {"name": str, "hyperparams": dict, "grid": list}, path)
+    if "hyperparams" in entry and "grid" in entry:
+        # the winning grid point would be used alone and the fixed values dropped
+        raise ValidationError(f"config {path} has both hyperparams and a grid; "
+                              "give every grid point its full settings instead")
     spec = ModelSpec(entry.get("name", ""), dict(entry.get("hyperparams", {})), entry.get("grid"))
     params = inspect.signature(MODEL_FACTORIES[spec.name]).parameters.values()
     schema = {p.name: type(p.default) for p in params}
@@ -209,6 +213,13 @@ class ExperimentConfig:
             raise ValidationError(f"unknown gap profile {self.gap_profile!r}")
         if not self.models:
             raise ValidationError("config lists no models")
+        first: dict[str, int] = {}
+        for i, spec in enumerate(self.models):
+            j = first.setdefault(spec.name, i)
+            if j != i:  # reports are keyed by model name, so one result would be lost
+                raise ValidationError(
+                    f"config models[{i}] lists model {spec.name!r} again, after models[{j}]"
+                )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

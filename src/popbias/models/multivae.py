@@ -13,6 +13,7 @@ dependency), which keeps training reproducible bit for bit given a seed.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -58,39 +59,47 @@ def kl_gaussian(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(mu**2 + np.exp(logvar) - logvar - 1.0, axis=1)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _forward_loss(params, target, fed, eps, beta, logits, ex):
+    """Per-row (total, nll, kl) and the activations; log-probabilities left in ``logits``.
 
-
-def _forward(params, X, eps):
-    h1 = np.tanh(X @ params["w_enc"].T + params["b_enc"])
+    ``fed`` feeds the encoder (it may be a dropped-out copy of ``target``);
+    the multinomial term always reconstructs ``target``.  The batch x n
+    results go into ``logits`` and the scratch ``ex``, never a new array.
+    """
+    h1 = np.tanh(fed @ params["w_enc"].T + params["b_enc"])
     mu = h1 @ params["w_mu"].T + params["b_mu"]
     logvar = h1 @ params["w_logvar"].T + params["b_logvar"]
     z = mu + np.exp(0.5 * logvar) * eps
     h2 = np.tanh(z @ params["w_dec"].T + params["b_dec"])
-    logits = h2 @ params["w_out"].T + params["b_out"]
-    return h1, mu, logvar, z, h2, logits
-
-
-def _batch_loss_and_grads(params, X_target, X_input, eps, beta):
-    """Mean loss over the batch and its gradients for every parameter.
-
-    ``X_input`` feeds the encoder (it may be a dropped-out copy of
-    ``X_target``); the multinomial term always reconstructs ``X_target``.
-    """
-    batch = X_target.shape[0]
-    h1, mu, logvar, z, h2, logits = _forward(params, X_input, eps)
-    log_probs = _log_softmax(logits)
-    nll_rows = -np.sum(X_target * log_probs, axis=1)
+    np.matmul(h2, params["w_out"].T, out=logits)
+    logits += params["b_out"]
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=ex)
+    logits -= np.log(ex.sum(axis=1, keepdims=True))
+    nll_rows = -np.sum(np.multiply(target, logits, out=ex), axis=1)
     kl_rows = kl_gaussian(mu, logvar)
-    total_rows = nll_rows + beta * kl_rows
+    return (nll_rows + beta * kl_rows, nll_rows, kl_rows), (h1, mu, logvar, z, h2)
 
-    weight_rows = X_target.sum(axis=1, keepdims=True)
-    d_logits = np.exp(log_probs) * weight_rows - X_target
-    g_w_out = d_logits.T @ h2
-    g_b_out = d_logits.sum(axis=0)
-    d_h2 = d_logits @ params["w_out"]
+
+def _backward(params, acts, target, fed, eps, beta, log_probs, ex, grad, emit):
+    """Hand each parameter's batch-summed gradient to ``emit(key, g)`` as it is made.
+
+    ``ex`` ends up holding the logit gradient.  ``grad`` (n * h floats) holds
+    ``w_out``'s gradient and then ``w_enc``'s, so ``emit`` must be done with
+    the first before the second is written.  ``w_out`` is read only before it
+    is emitted, so ``emit`` may update it in place.
+    """
+    h1, mu, logvar, z, h2 = acts
+    n, h = target.shape[1], h1.shape[1]
+    weight_rows = target.sum(axis=1, keepdims=True)
+    np.exp(log_probs, out=ex)
+    ex *= weight_rows
+    ex -= target
+    g_w_out = np.matmul(ex.T, h2, out=grad.reshape(n, h))
+    g_b_out = ex.sum(axis=0)
+    d_h2 = ex @ params["w_out"]
+    emit("w_out", g_w_out)
+    emit("b_out", g_b_out)
     d_a2 = d_h2 * (1.0 - h2**2)
     g_w_dec = d_a2.T @ z
     g_b_dec = d_a2.sum(axis=0)
@@ -103,24 +112,41 @@ def _batch_loss_and_grads(params, X_target, X_input, eps, beta):
     g_b_logvar = d_logvar.sum(axis=0)
     d_h1 = d_mu @ params["w_mu"] + d_logvar @ params["w_logvar"]
     d_a1 = d_h1 * (1.0 - h1**2)
-    g_w_enc = d_a1.T @ X_input
+    g_w_enc = np.matmul(d_a1.T, fed, out=grad.reshape(h, n))
     g_b_enc = d_a1.sum(axis=0)
+    for key, g in (
+        ("w_enc", g_w_enc), ("b_enc", g_b_enc),
+        ("w_mu", g_w_mu), ("b_mu", g_b_mu),
+        ("w_logvar", g_w_logvar), ("b_logvar", g_b_logvar),
+        ("w_dec", g_w_dec), ("b_dec", g_b_dec),
+    ):
+        emit(key, g)
 
-    grads = {
-        "w_enc": g_w_enc, "b_enc": g_b_enc,
-        "w_mu": g_w_mu, "b_mu": g_b_mu,
-        "w_logvar": g_w_logvar, "b_logvar": g_b_logvar,
-        "w_dec": g_w_dec, "b_dec": g_b_dec,
-        "w_out": g_w_out, "b_out": g_b_out,
-    }
-    for key in grads:
-        grads[key] = grads[key] / batch
-    losses = (
-        float(total_rows.mean()),
-        float(nll_rows.mean()),
-        float(kl_rows.mean()),
-    )
-    return losses, grads
+
+def _sgd(params, batch, lr, key, g):
+    """``params[key] -= lr * (g / batch)``, overwriting ``g``.
+
+    ``(g / batch) * lr`` rounds exactly as ``lr * (g / batch)``: IEEE
+    multiplication is commutative.
+    """
+    g /= batch
+    g *= lr
+    params[key] -= g
+
+
+def _batch_loss_and_grads(params, X_target, X_input, eps, beta):
+    """Mean (total, nll, kl) over the batch and the mean gradient of every parameter."""
+    batch, n = X_target.shape
+    logits, ex = np.empty((batch, n)), np.empty((batch, n))
+    rows, acts = _forward_loss(params, X_target, X_input, eps, beta, logits, ex)
+    grads = {}
+
+    def keep(key, g):
+        grads[key] = g / batch
+
+    _backward(params, acts, X_target, X_input, eps, beta, logits, ex,
+              np.empty(params["w_out"].size), keep)
+    return tuple(float(r.mean()) for r in rows), grads
 
 
 def elbo_loss(x, params, z_noise, beta) -> tuple[float, float, float]:
@@ -133,11 +159,10 @@ def elbo_loss(x, params, z_noise, beta) -> tuple[float, float, float]:
         raise ValidationError("input row does not match the encoder width")
     if z_noise.shape != (params["w_mu"].shape[0],):
         raise ValidationError("noise draw does not match the latent width")
-    _, mu, logvar, _, _, logits = _forward(params, x[None, :], z_noise[None, :])
-    log_probs = _log_softmax(logits)
-    nll = float(-np.sum(x * log_probs[0]))
-    kl = float(kl_gaussian(mu, logvar)[0])
-    return nll + beta * kl, nll, kl
+    x = x[None, :]
+    rows, _ = _forward_loss(params, x, x, z_noise[None, :], beta,
+                            np.empty_like(x), np.empty_like(x))
+    return tuple(float(r[0]) for r in rows)
 
 
 def gradient(x, params, z_noise, beta) -> dict:
@@ -199,8 +224,10 @@ class MultiVaeRecommender(RecommenderModel):
         self.loss_curve_: list[float] = []
         self._train = None
 
-    def _normalized_rows(self, train: InteractionDataset, users) -> np.ndarray:
-        out = np.zeros((len(users), train.num_artists))
+    @staticmethod
+    def _normalized_rows(train: InteractionDataset, users, out: np.ndarray) -> np.ndarray:
+        """Write the binarized, L2-normalized rows of ``users`` into ``out``."""
+        out.fill(0.0)
         for k, u in enumerate(users):
             prof = train.profile(u)
             out[k, prof] = 1.0 / math.sqrt(len(prof))
@@ -212,16 +239,28 @@ class MultiVaeRecommender(RecommenderModel):
         return self.beta_max * min(1.0, step / self.anneal_steps)
 
     def fit(self, train: InteractionDataset):
+        """SGD on batch-mean gradients; every batch x n array is allocated once.
+
+        Each step performs the same floating-point operations in the same
+        order as the allocating step kept in ``tests/multivae_reference.py``,
+        so parameters and loss curve match it byte for byte.
+        """
         seq = np.random.SeedSequence(self.init_seed)
         init_rng, order_rng, noise_rng, drop_rng = map(np.random.default_rng, seq.spawn(4))
-        # parameters and their gradients, plus the batch's target, dropped-out
-        # input, logits, log-probabilities and logit gradient
         n, h, k = train.num_artists, self.hidden_dim, self.latent_dim
+        size = min(self.batch_size, train.num_users)
+        dropout = self.dropout_keep < 1.0
+        # parameters, one gradient shared by w_out and w_enc, and the batch's
+        # target, logits and scratch rows, plus the dropped-out input and its
+        # mask when dropout is on
         num_params = 2 * n * h + 3 * h * k + n + 2 * h + 2 * k
-        batch = min(self.batch_size, train.num_users)
-        require_memory(8 * (2 * num_params + 5 * batch * n),
+        require_memory(8 * (num_params + n * h + (3 + dropout) * size * n) + dropout * size * n,
                        f"Multi-VAE with hidden_dim {h}")
-        params = init_params(train.num_artists, self.hidden_dim, self.latent_dim, init_rng)
+        params = init_params(n, h, k, init_rng)
+        target, logits, ex = (np.empty((size, n)) for _ in range(3))
+        fed = np.empty((size, n)) if dropout else target
+        mask = np.empty((size, n), dtype=bool) if dropout else None
+        grad = np.empty(n * h)
         step = 0
         self.loss_curve_ = []
         for epoch in range(self.epochs):
@@ -229,21 +268,24 @@ class MultiVaeRecommender(RecommenderModel):
             epoch_losses = []
             for bi, start in enumerate(range(0, train.num_users, self.batch_size)):
                 users = order[start : start + self.batch_size]
-                target = self._normalized_rows(train, users)
-                eps = noise_rng.standard_normal((len(users), self.latent_dim))
-                if self.dropout_keep < 1.0:
-                    mask = drop_rng.random(target.shape) < self.dropout_keep
-                    fed = target * mask / self.dropout_keep
-                else:
-                    fed = target
+                b = len(users)
+                x = self._normalized_rows(train, users, target[:b])
+                eps = noise_rng.standard_normal((b, k))
+                x_in = fed[:b]
+                if dropout:
+                    drop_rng.random(out=x_in)
+                    np.less(x_in, self.dropout_keep, out=mask[:b])
+                    np.multiply(x, mask[:b], out=x_in)
+                    x_in /= self.dropout_keep
                 beta = self._beta_at(step)
-                (total, _, _), grads = _batch_loss_and_grads(params, target, fed, eps, beta)
-                if not math.isfinite(total):
-                    raise NumericalError(
-                        f"non-finite loss at epoch {epoch}, batch {bi}"
-                    )
-                for key in PARAM_KEYS:
-                    params[key] -= self.learning_rate * grads[key]
+                # an overflow shows up as a non-finite loss, reported below
+                with np.errstate(over="ignore", invalid="ignore"):
+                    rows, acts = _forward_loss(params, x, x_in, eps, beta, logits[:b], ex[:b])
+                    total = float(rows[0].mean())
+                    if not math.isfinite(total):
+                        raise NumericalError(f"non-finite loss at epoch {epoch}, batch {bi}")
+                    _backward(params, acts, x, x_in, eps, beta, logits[:b], ex[:b], grad,
+                              functools.partial(_sgd, params, b, self.learning_rate))
                 step += 1
                 epoch_losses.append(total)
             self.loss_curve_.append(float(np.mean(epoch_losses)))
@@ -254,7 +296,7 @@ class MultiVaeRecommender(RecommenderModel):
 
     def score_user(self, user: int) -> np.ndarray:
         self._require_fitted()
-        x = self._normalized_rows(self._train, [user])
+        x = self._normalized_rows(self._train, [user], np.empty((1, self.num_artists_)))
         h1 = np.tanh(x @ self.params_["w_enc"].T + self.params_["b_enc"])
         mu = h1 @ self.params_["w_mu"].T + self.params_["b_mu"]
         h2 = np.tanh(mu @ self.params_["w_dec"].T + self.params_["b_dec"])

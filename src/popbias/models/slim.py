@@ -237,6 +237,7 @@ class SlimRecommender(RecommenderModel):
         self.binarize = bool(binarize)
         self.num_artists_ = None
         self.weights_ = None
+        self._weights_csr = None
         self.sweeps_ = None
         self.steps_ = None
         self._train_rows = None
@@ -269,6 +270,9 @@ class SlimRecommender(RecommenderModel):
         self.weights_ = sp.csc_matrix(
             (w[keep], cols[keep], kept[indptr]), shape=(num_artists, num_artists)
         )
+        # a CSR row times a CSC matrix converts the matrix to CSR on every
+        # call; converting once scores every user from the same CSR
+        self._weights_csr = self.weights_.tocsr()
         self.num_artists_ = num_artists
         self._train_rows = mat
         return self
@@ -276,7 +280,7 @@ class SlimRecommender(RecommenderModel):
     def score_user(self, user: int) -> np.ndarray:
         self._require_fitted()
         row = self._train_rows.getrow(user)
-        return np.asarray((row @ self.weights_).todense()).ravel()
+        return np.asarray((row @ self._weights_csr).todense()).ravel()
 
 
 def slim_objective(

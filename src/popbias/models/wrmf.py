@@ -38,8 +38,9 @@ def _confidence_minus_one(counts: np.ndarray, alpha: float, confidence: str) -> 
 
 def _confidences(mat: sp.csr_matrix, alpha: float, confidence: str):
     """``(c - 1, c)`` for every stored entry of ``mat``, in storage order."""
-    extra = _confidence_minus_one(np.asarray(mat.data, dtype=np.float64), alpha, confidence)
-    conf = 1.0 + extra
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        extra = _confidence_minus_one(np.asarray(mat.data, dtype=np.float64), alpha, confidence)
+        conf = 1.0 + extra
     if not np.all(np.isfinite(conf)):
         raise NumericalError(f"confidence 1 + alpha * f(count) overflows at alpha={alpha:g}")
     return extra, conf

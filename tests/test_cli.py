@@ -1,10 +1,10 @@
 import json
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from popbias.cli import main
@@ -187,9 +187,33 @@ def test_run_overflowing_confidence_exits_3(tmp_path, capsys):
     config = run_config(tmp_path, [
         {"name": "wrmf", "hyperparams": {"alpha": 1e308, "factors": 2, "sweeps": 1}},
     ])
-    with np.errstate(over="ignore"):
-        assert main(["run", "--config", str(config)]) == 3
+    assert main(["run", "--config", str(config)]) == 3
     assert "confidence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("models, code, message", [
+    ([{"name": "multivae", "hyperparams": {"learning_rate": 1e308, "batch_size": 8}}],
+     3, "stage 'fit:multivae': non-finite loss at epoch 0, batch 1"),
+    ([{"name": "wrmf", "hyperparams": {"alpha": 1e308, "factors": 2, "sweeps": 1}}],
+     3, "stage 'fit:wrmf': confidence 1 + alpha * f(count) overflows"),
+    ([{"name": "wrmf"}, {"name": "popularity"}, {"name": "wrmf", "grid": [{"factors": 2}]}],
+     2, "config models[2] lists model 'wrmf' again, after models[0]"),
+    ([{"name": "popularity", "hyperparams": {"weighting": "plays"},
+       "grid": [{"weighting": "listeners"}]}],
+     2, "config models[0] has both hyperparams and a grid"),
+])
+def test_run_mistake_prints_only_the_error(tmp_path, models, code, message):
+    # in a fresh interpreter, where NumPy's warnings would reach stderr
+    root = Path(__file__).resolve().parents[1]
+    config = run_config(tmp_path, models)
+    done = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "popbias.cli", "run", "--config", str(config)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == code, done.stderr
+    assert done.stderr.startswith(f"error: {message}"), done.stderr
+    assert done.stderr.count("\n") == 1, done.stderr
 
 
 def test_tune_command(tmp_path, capsys):

@@ -21,7 +21,6 @@ import random
 import tempfile
 from pathlib import Path
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -126,7 +125,7 @@ CONFIG = {
         {"name": "slim", "hyperparams": {"max_iters": 5, "l1_penalty": 0.5}},
         {"name": "multivae", "hyperparams": {"latent_dim": 2, "hidden_dim": 4, "epochs": 2,
                                              "batch_size": 8, "learning_rate": 0.3}},
-        {"name": "wrmf", "grid": [{"factors": 2, "sweeps": 1}, {"factors": 3, "sweeps": 1}]},
+        {"name": "random", "grid": [{"seed": 5}, {"seed": 6}]},
     ],
     "top_n": 5,
     "ap_k": 10,
@@ -221,12 +220,8 @@ def test_mutated_configs_exit_0_2_or_3():
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "c.json"
             config.write_bytes(mutate_config(mutations))
-            # a huge alpha or learning rate overflows before the learner's own
-            # finiteness check ends the run with exit 3; NumPy's warning on the
-            # way would be an error under this suite's warning filter
             with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()), \
-                    np.errstate(over="ignore", invalid="ignore"):
+                    contextlib.redirect_stderr(io.StringIO()):
                 code = main([command, "--config", str(config),
                              "--out", str(Path(tmp) / "out")])
         assert code in (0, 2, 3), (example, command, mutations)

@@ -182,6 +182,21 @@ class TestConfig:
         pytest.param(("models",), [{"name": "wrmf", "grid": [{"alpha": 1}, {"alpha": 10**400}]}],
                      r"models\[0\].grid\[1\].alpha must be a finite number",
                      id="huge-int-grid"),
+        # the report keeps one result per model name
+        pytest.param(("models",), [{"name": "wrmf"}, {"name": "slim"},
+                                   {"name": "wrmf", "hyperparams": {"factors": 2}}],
+                     r"models\[2\] lists model 'wrmf' again, after models\[0\]",
+                     id="model-listed-twice"),
+        pytest.param(("models",), ["random", {"name": "random", "grid": [{"seed": 1}]}],
+                     r"models\[1\] lists model 'random' again, after models\[0\]",
+                     id="model-listed-twice-tuned"),
+        # the winning grid point is used alone, so fixed values would be dropped
+        pytest.param(("models",), [{"name": "popularity", "hyperparams": {"weighting": "plays"},
+                                    "grid": [{"weighting": "listeners"}]}],
+                     r"models\[0\] has both hyperparams and a grid", id="hyperparams-and-grid"),
+        pytest.param(("models",), [{"name": "wrmf", "hyperparams": {}, "grid": [{"factors": 2}]}],
+                     r"models\[0\] has both hyperparams and a grid",
+                     id="empty-hyperparams-and-grid"),
     ])
     def test_wrong_types_and_names_rejected(self, path, value, message):
         raw = tiny_raw_config()

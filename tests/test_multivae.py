@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,51 @@ class TestMatchesReference:
         assert np.array(model.loss_curve_).tobytes() == np.array(loss_curve).tobytes()
         for key in PARAM_KEYS:
             assert model.params_[key].tobytes() == params[key].tobytes(), key
+
+    @pytest.mark.parametrize("dropout_keep", [1.0, 0.5])
+    def test_fit_matches_at_a_width_where_blas_blocks(self, dropout_keep):
+        # 40 users in batches of 16 leave a short last batch; at 3,000 artists
+        # and hidden 64 every product is large enough for BLAS to block it
+        ds = random_dataset(np.random.default_rng(5), num_users=40, num_artists=3000)
+        kwargs = dict(latent_dim=16, hidden_dim=64, beta_max=0.3, anneal_steps=3,
+                      epochs=2, batch_size=16, learning_rate=0.4,
+                      dropout_keep=dropout_keep, init_seed=5)
+        model = MultiVaeRecommender(**kwargs).fit(ds)
+        params, loss_curve = reference_fit(ds, **kwargs)
+        assert np.array(model.loss_curve_).tobytes() == np.array(loss_curve).tobytes()
+        for key in PARAM_KEYS:
+            assert model.params_[key].tobytes() == params[key].tobytes(), key
+
+
+class TestFitMemory:
+    """``fit`` holds its parameters, one n x h gradient and its batch buffers, no more."""
+
+    @pytest.mark.parametrize("dropout_keep", [1.0, 0.5])
+    def test_peak_is_the_state_fit_allocates_once(self, dropout_keep):
+        n, h, k, batch = 4000, 16, 4, 32
+        ds = random_dataset(np.random.default_rng(17), num_users=50, num_artists=n)
+        kwargs = dict(latent_dim=k, hidden_dim=h, epochs=2, batch_size=batch,
+                      dropout_keep=dropout_keep, init_seed=0)
+        num_params = 2 * n * h + 3 * h * k + n + 2 * h + 2 * k
+        dropout = dropout_keep < 1.0
+        # target, logits and scratch rows, plus the dropped-out rows and their
+        # mask; the slack is half a batch x n float64 array, so one more such
+        # array made per step exceeds the bound
+        rows = 8 * (3 + dropout) * batch * n + dropout * batch * n
+        bound = 8 * (num_params + n * h) + rows + 4 * batch * n
+
+        def peak(fit):
+            tracemalloc.start()
+            try:
+                fit()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: MultiVaeRecommender(**kwargs).fit(ds)) <= bound
+        # the allocating step this replaced does not fit the bound
+        assert peak(lambda: reference_fit(ds, beta_max=0.2, anneal_steps=500,
+                                          learning_rate=0.5, **kwargs)) > bound
 
 
 class TestScoring:

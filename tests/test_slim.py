@@ -44,6 +44,18 @@ def lattice_search(A, j, l1, l2, step=0.01, upper=1.0):
     return best_w
 
 
+def wide_sparse_dataset(num_users=20, num_artists=200_000):
+    """40 random artists a user from a catalogue of ``num_artists``."""
+    rng = np.random.default_rng(4)
+    rows = np.repeat(np.arange(num_users), 40)
+    cols = np.concatenate([rng.choice(num_artists, 40, replace=False)
+                           for _ in range(num_users)])
+    counts = sp.csr_matrix((rng.integers(1, 6, rows.size), (rows, cols)),
+                           shape=(num_users, num_artists))
+    return InteractionDataset([f"u{u}" for u in range(num_users)],
+                              [f"a{a}" for a in range(num_artists)], counts)
+
+
 class TestFit:
     def test_huge_l1_zeroes_everything(self):
         model = SlimRecommender(l1_penalty=1e6, l2_penalty=0.0).fit(TOY)
@@ -123,15 +135,9 @@ class TestFit:
 
     def test_wide_sparse_catalogue_fits_in_bounded_memory(self):
         # a dense 200k x 200k gram would need 320 GB
-        num_users, num_artists = 20, 200_000
-        rng = np.random.default_rng(4)
-        rows = np.repeat(np.arange(num_users), 40)
-        cols = np.concatenate([rng.choice(num_artists, 40, replace=False)
-                               for _ in range(num_users)])
-        counts = sp.csr_matrix((rng.integers(1, 6, rows.size), (rows, cols)),
-                               shape=(num_users, num_artists))
-        ds = InteractionDataset([f"u{u}" for u in range(num_users)],
-                                [f"a{a}" for a in range(num_artists)], counts)
+        ds = wide_sparse_dataset()
+        num_artists = ds.num_artists
+        cols = ds.counts.indices
         tracemalloc.start()
         try:
             model = SlimRecommender(l1_penalty=0.1, l2_penalty=1.0, max_iters=5).fit(ds)
@@ -405,6 +411,23 @@ class TestScoring:
         W = model.weights_.toarray()
         for u in range(TOY.num_users):
             assert model.score_user(u) == approx(A[u] @ W, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", ["desk", "wide sparse"])
+    def test_scores_equal_row_times_weights_byte_for_byte(self, shape):
+        # score_user reads a CSR copy of weights_ made once by fit; each
+        # score must be the CSR row times the CSC weights_, as before
+        if shape == "desk":
+            config = SyntheticConfig(num_users=501, num_artists=2000, zipf_exponent=1.0,
+                                     profile_size_range=(10, 40))
+            ds = split_mask(generate_synthetic(config, seed=11), 0.2, seed=12).train
+        else:
+            ds = wide_sparse_dataset()
+        model = SlimRecommender(l1_penalty=2.0, l2_penalty=5.0, max_iters=3).fit(ds)
+        assert model.weights_.format == "csc" and model.weights_.nnz > 0
+        rows = ds.counts.astype(np.float64).tocsr()
+        for u in range(ds.num_users):
+            want = np.asarray((rows.getrow(u) @ model.weights_).todense()).ravel()
+            assert model.score_user(u).tobytes() == want.tobytes(), u
 
     def test_binarize_flag_fits_on_occurrences(self):
         counts = np.array([[5, 5], [9, 9], [2, 2]])

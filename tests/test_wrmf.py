@@ -188,7 +188,7 @@ class TestFit:
 
     def test_overflowing_confidence_raises_numerical_error(self):
         ds = make_dataset([[3, 0, 1], [0, 2, 1]])
-        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="confidence"):
+        with pytest.raises(NumericalError, match="confidence"):
             WrmfRecommender(alpha=1e308).fit(ds)
 
     def test_singular_system_names_row(self):
