@@ -42,7 +42,7 @@ from ..corpus import (
     write_lines,
     write_report_files,
 )
-from ..errors import PopBiasError, TuningError, UndefinedMetricError, ValidationError
+from ..errors import NumericalError, PopBiasError, TuningError, UndefinedMetricError, ValidationError
 # RankedCandidates, auc and average_precision_at_k are not called here: they
 # are the oracles this module's ranking path is tested against, and they stay
 # importable from it because perfbench/child.py traces them by these names.
@@ -201,6 +201,10 @@ class ExperimentConfig:
             raise ValidationError(
                 "config needs exactly one dataset source: interactions file or synthetic"
             )
+        if self.synthetic is not None and self.groups_path is not None:
+            # the file would never be opened: synthetic users get mainstream groups
+            raise ValidationError("config dataset.groups is read only with "
+                                  "dataset.interactions, not with dataset.synthetic")
         if not 0 < self.holdout_fraction < 1:
             raise ValidationError("split fraction must be in (0, 1)")
         if self.top_n < 1:
@@ -385,10 +389,13 @@ def _ranked_users(model, split: SplitDataset, top_n: int | None = None):
     ascending positions of the held-out artists in the full ranking, or is
     None when the user has no held-out artist or no negative candidate.  The
     full ranking itself is never built.  Raises ``ValidationError`` when a
-    held-out artist is not among the candidates, as ``RankedCandidates`` does.
+    held-out artist is not among the candidates, as ``RankedCandidates`` does,
+    and ``NumericalError`` naming the user when a score is not finite.
     """
     for u, positives in enumerate(split.masked):
         scores = model.score_user(u)
+        if not np.isfinite(scores).all():
+            raise NumericalError(f"non-finite score for user {split.train.users[u]!r}")
         profile = split.train.profile(u)
         top = None if top_n is None else rank_candidates(scores, exclude=profile, n=top_n)
         ranks, num_candidates = positive_ranks(scores, profile, positives)

@@ -297,8 +297,10 @@ class MultiVaeRecommender(RecommenderModel):
     def score_user(self, user: int) -> np.ndarray:
         self._require_fitted()
         x = self._normalized_rows(self._train, [user], np.empty((1, self.num_artists_)))
-        h1 = np.tanh(x @ self.params_["w_enc"].T + self.params_["b_enc"])
-        mu = h1 @ self.params_["w_mu"].T + self.params_["b_mu"]
-        h2 = np.tanh(mu @ self.params_["w_dec"].T + self.params_["b_dec"])
-        logits = h2 @ self.params_["w_out"].T + self.params_["b_out"]
+        # huge but finite parameters overflow here; evaluation rejects the scores
+        with np.errstate(over="ignore", invalid="ignore"):
+            h1 = np.tanh(x @ self.params_["w_enc"].T + self.params_["b_enc"])
+            mu = h1 @ self.params_["w_mu"].T + self.params_["b_mu"]
+            h2 = np.tanh(mu @ self.params_["w_dec"].T + self.params_["b_dec"])
+            logits = h2 @ self.params_["w_out"].T + self.params_["b_out"]
         return logits[0]

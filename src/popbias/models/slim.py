@@ -4,17 +4,16 @@ Learns a sparse artist-by-artist weight matrix W minimizing
 
     0.5 * ||A - A W||^2_F  +  (l2/2) * ||W||^2_F  +  l1 * ||W||_1
 
-subject to diag(W) = 0 and optionally W >= 0, by cyclic coordinate descent on
-each column.  Columns are independent subproblems that each visit their
-coordinates in ascending order, so the solver sweeps coordinate-major.  The
-coordinates are split once per fit into consecutive runs of artists that never
-co-occur (G[i1, i2] == 0 for the gram G = A^T A); one vectorised step updates
-every still-active column at every coordinate of a run.  An update at one run
-coordinate changes a column's state at another only by delta * 0 = +-0, which
-leaves it as it was, so the weights are those of visiting one coordinate at a
-time.  All state lives on the sparsity pattern of G, so memory is O(nnz(G)) on
-the non-negative path (the signed path visits every pair of artists with
-plays).  A user's scores are their train row times W.
+subject to diag(W) = 0 and W >= 0 (the SLIM of Ning & Karypis, ICDM 2011), by
+cyclic coordinate descent on each column.  Columns are independent subproblems
+that each visit their coordinates in ascending order, so the solver sweeps
+coordinate-major.  The coordinates are split once per fit into consecutive runs
+of artists that never co-occur (G[i1, i2] == 0 for the gram G = A^T A); one
+vectorised step updates every still-active column at every coordinate of a run.
+An update at one run coordinate changes a column's state at another only by
+delta * 0 = +-0, which leaves it as it was, so the weights are those of
+visiting one coordinate at a time.  All state lives on the sparsity pattern of
+G, so memory is O(nnz(G)).  A user's scores are their train row times W.
 """
 
 from __future__ import annotations
@@ -22,36 +21,27 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..corpus import InteractionDataset, require_memory
+from ..corpus import InteractionDataset
 from ..errors import NumericalError, ValidationError
 from .base import RecommenderModel
 
 
-def _candidate_pattern(gram, col_norms, non_negative):
-    """CSR ``(indptr, indices, values)`` of the coordinates i each column j
-    visits, with G[j, i] as the value; the diagonal is never a candidate.
+def _candidate_pattern(mat):
+    """The gram G = A^T A of ``mat`` as the CSR ``(indptr, cols, corr)`` of the
+    coordinates i each column j visits, in ascending order with G[j, i] as the
+    value, and the diagonal ``col_norms``; the diagonal is never a candidate.
 
-    Under non-negativity a coordinate that never co-occurs with the column has
-    optimum 0, so the pattern is that of G; the signed path visits every pair
-    of artists with plays.  Artist indices always fit in int32, which halves
-    the index memory of the signed path's all-pairs pattern.
+    A coordinate that never co-occurs with the column has optimum 0 under
+    non-negativity, so the pattern is that of G.  Artist indices always fit in
+    int32, which halves the index memory of the pattern.
     """
-    if non_negative:
-        coo = gram.tocoo()
-        rows, cols, vals = coo.row, coo.col, coo.data
-    else:
-        live = np.flatnonzero(col_norms > 0).astype(np.int32)
-        # the fit peaks at about 38.5 B per pair (tracemalloc): int32 cols and
-        # flip, float64 corr, w and partial, and a sweep's temporaries
-        require_memory(40 * live.size**2,
-                       f"the signed all-pairs pattern of {live.size:,} artists")
-        rows = np.repeat(live, live.size)
-        cols = np.tile(live, live.size)
-        vals = gram[live][:, live].toarray().ravel()
-    off = rows != cols
-    indptr = np.zeros(col_norms.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[off], minlength=col_norms.size), out=indptr[1:])
-    return indptr, cols[off].astype(np.int32, copy=False), vals[off]
+    gram = (mat.T @ mat).tocsr()
+    gram.sort_indices()  # each column visits its coordinates in ascending order
+    rows = np.repeat(np.arange(gram.shape[0], dtype=gram.indices.dtype), np.diff(gram.indptr))
+    diagonal = np.flatnonzero(gram.indices == rows)
+    indptr = gram.indptr - np.searchsorted(diagonal, gram.indptr)
+    cols = np.delete(gram.indices, diagonal).astype(np.int32, copy=False)
+    return indptr, cols, np.delete(gram.data, diagonal), gram.diagonal()
 
 
 # Fixed budgets that bound a step's temporaries whatever the run length or the
@@ -84,8 +74,7 @@ def _coordinate_runs(indptr, cols, corr, max_len):
     return np.array(starts + [num_artists])
 
 
-def _coordinate_descent(indptr, cols, corr, col_norms, l1, l2, non_negative,
-                        max_iters, tolerance, trace):
+def _coordinate_descent(indptr, cols, corr, col_norms, l1, l2, max_iters, tolerance, trace):
     """Weights on the candidate pattern (row j holds column j of W), with the
     number of sweeps and of vectorised steps taken.
 
@@ -149,12 +138,8 @@ def _coordinate_descent(indptr, cols, corr, col_norms, l1, l2, non_negative,
             w_old = w[at]
             rho = corr[at] - (partial[at] - norms * w_old)
             denom = norms + l2
-            if non_negative:
-                shrunk = rho - l1  # np.where, not np.maximum: NaN maps to 0 like max(0.0, x)
-                w_new = np.where(shrunk > 0.0, shrunk, 0.0) / denom
-            else:
-                w_new = np.where(rho > l1, (rho - l1) / denom,
-                                 np.where(rho < -l1, (rho + l1) / denom, 0.0))
+            shrunk = rho - l1  # np.where, not np.maximum: NaN maps to 0 like max(0.0, x)
+            w_new = np.where(shrunk > 0.0, shrunk, 0.0) / denom
             delta = w_new - w_old
             moved = delta.nonzero()[0]
             if moved.size:
@@ -206,7 +191,7 @@ class SlimRecommender(RecommenderModel):
 
     The fit keeps its state on the sparsity pattern of A^T A, so memory grows
     with the number of co-occurring artist pairs, not with the square of the
-    artist count (the signed variant visits every pair of artists with plays).
+    artist count.  Weights are non-negative.
     ``binarize`` fits on 0/1 occurrences instead of raw play counts.  After
     ``fit``, ``sweeps_`` and ``steps_`` count the solver's sweeps and its
     vectorised steps (one per visited run of coordinates).
@@ -218,7 +203,6 @@ class SlimRecommender(RecommenderModel):
         self,
         l1_penalty: float = 0.1,
         l2_penalty: float = 0.1,
-        non_negative: bool = True,
         max_iters: int = 200,
         tolerance: float = 1e-5,
         binarize: bool = False,
@@ -231,7 +215,6 @@ class SlimRecommender(RecommenderModel):
             raise ValidationError("tolerance must be > 0")
         self.l1_penalty = float(l1_penalty)
         self.l2_penalty = float(l2_penalty)
-        self.non_negative = bool(non_negative)
         self.max_iters = int(max_iters)
         self.tolerance = float(tolerance)
         self.binarize = bool(binarize)
@@ -256,14 +239,11 @@ class SlimRecommender(RecommenderModel):
         of artists without train plays are all zero and never visited.
         """
         mat = self._transform(train)
-        gram = (mat.T @ mat).tocsr()
-        gram.sort_indices()  # each column visits its coordinates in ascending order
-        col_norms = gram.diagonal()
         num_artists = train.num_artists
-        indptr, cols, corr = _candidate_pattern(gram, col_norms, self.non_negative)
+        indptr, cols, corr, col_norms = _candidate_pattern(mat)
         w, self.sweeps_, self.steps_ = _coordinate_descent(
             indptr, cols, corr, col_norms, self.l1_penalty, self.l2_penalty,
-            self.non_negative, self.max_iters, self.tolerance, trace,
+            self.max_iters, self.tolerance, trace,
         )
         keep = w != 0.0
         kept = np.concatenate(([0], np.cumsum(keep)))

@@ -1,8 +1,9 @@
 """Reference SLIM solver: one column at a time over the dense A^T A gram.
 
-This is the original per-column cyclic coordinate descent.  The library's
-solver runs all columns at once over the sparsity pattern of the gram and must
-reproduce these weights byte for byte; the tests compare the two.
+This is the original per-column cyclic coordinate descent, with weights held
+non-negative.  The library's solver runs all columns at once over the sparsity
+pattern of the gram and must reproduce these weights byte for byte; the tests
+compare the two.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import scipy.sparse as sp
 from popbias.errors import NumericalError
 
 
-def fit_column(gram, col_norms, j, l1, l2, non_negative, max_iters, tolerance, trace):
+def fit_column(gram, col_norms, j, l1, l2, max_iters, tolerance, trace):
     """Coordinate descent for one column of W; returns (indices, weights).
 
     ``gram`` is the dense symmetric matrix A^T A.  Coordinates are visited in
@@ -20,13 +21,9 @@ def fit_column(gram, col_norms, j, l1, l2, non_negative, max_iters, tolerance, t
     """
     num_artists = gram.shape[0]
     corr = gram[j]
-    if non_negative:
-        # zero co-occurrence coordinates have optimum 0 under non-negativity
-        cand = np.flatnonzero(corr)
-        cand = cand[(cand != j) & (col_norms[cand] > 0)]
-    else:
-        cand = np.flatnonzero(col_norms > 0)
-        cand = cand[cand != j]
+    # zero co-occurrence coordinates have optimum 0 under non-negativity
+    cand = np.flatnonzero(corr)
+    cand = cand[(cand != j) & (col_norms[cand] > 0)]
     w = np.zeros(num_artists)
     if cand.size == 0:
         return cand, w[cand]
@@ -35,14 +32,7 @@ def fit_column(gram, col_norms, j, l1, l2, non_negative, max_iters, tolerance, t
         max_delta = 0.0
         for i in cand:
             rho = corr[i] - (partial[i] - col_norms[i] * w[i])
-            if non_negative:
-                w_new = max(0.0, rho - l1) / (col_norms[i] + l2)
-            elif rho > l1:
-                w_new = (rho - l1) / (col_norms[i] + l2)
-            elif rho < -l1:
-                w_new = (rho + l1) / (col_norms[i] + l2)
-            else:
-                w_new = 0.0
+            w_new = max(0.0, rho - l1) / (col_norms[i] + l2)
             delta = w_new - w[i]
             if delta != 0.0:
                 partial += delta * gram[i]
@@ -69,7 +59,7 @@ def reference_weights(model, train, trace=None) -> sp.csc_matrix:
     num_artists = train.num_artists
     columns = [
         fit_column(gram, col_norms, j, model.l1_penalty, model.l2_penalty,
-                   model.non_negative, model.max_iters, model.tolerance, trace)
+                   model.max_iters, model.tolerance, trace)
         for j in range(num_artists)
     ]
     indptr = np.zeros(num_artists + 1, dtype=np.int64)

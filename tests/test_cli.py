@@ -201,6 +201,9 @@ def test_run_overflowing_confidence_exits_3(tmp_path, capsys):
     ([{"name": "popularity", "hyperparams": {"weighting": "plays"},
        "grid": [{"weighting": "listeners"}]}],
      2, "config models[0] has both hyperparams and a grid"),
+    # the only update leaves huge but finite parameters, so scoring overflows
+    ([{"name": "multivae", "hyperparams": {"learning_rate": 1e308, "epochs": 1}}],
+     3, "stage 'evaluate:multivae': non-finite score for user 'u00'"),
 ])
 def test_run_mistake_prints_only_the_error(tmp_path, models, code, message):
     # in a fresh interpreter, where NumPy's warnings would reach stderr

@@ -21,7 +21,7 @@ from popbias.corpus import (
     split_mask,
     user_mainstreaminess,
 )
-from popbias.errors import TuningError, ValidationError
+from popbias.errors import NumericalError, TuningError, ValidationError
 from popbias.harness import (
     ExperimentConfig,
     ModelSpec,
@@ -197,6 +197,12 @@ class TestConfig:
         pytest.param(("models",), [{"name": "wrmf", "hyperparams": {}, "grid": [{"factors": 2}]}],
                      r"models\[0\] has both hyperparams and a grid",
                      id="empty-hyperparams-and-grid"),
+        # a synthetic dataset never opens a groups file
+        pytest.param(("dataset", "groups"), "does-not-exist.tsv", r"dataset\.groups",
+                     id="groups-with-synthetic"),
+        # SLIM's weights are always non-negative
+        pytest.param(("models",), [{"name": "slim", "hyperparams": {"non_negative": False}}],
+                     r"'models\[0\].hyperparams.non_negative'", id="slim-non-negative"),
     ])
     def test_wrong_types_and_names_rejected(self, path, value, message):
         raw = tiny_raw_config()
@@ -206,6 +212,11 @@ class TestConfig:
         section[path[-1]] = value
         with pytest.raises(ValidationError, match=message):
             ExperimentConfig.from_dict(raw)
+
+    def test_synthetic_with_null_groups_accepted(self):
+        raw = tiny_raw_config()
+        raw["dataset"]["groups"] = None
+        assert ExperimentConfig.from_dict(raw).groups_path is None
 
     def test_numbers_accept_integers(self):
         raw = tiny_raw_config()
@@ -268,6 +279,14 @@ class TestTune:
         assert log[0]["error"] is not None
         assert best == {"factors": 2, "sweeps": 2}
 
+    def test_non_finite_scores_fail_the_point(self):
+        # the one update leaves huge but finite parameters, so scoring overflows
+        ds = clique_dataset()
+        best, log = tune("multivae", [{"learning_rate": 1e308, "epochs": 1}, {"epochs": 1}],
+                         ds, tune_seed=0)
+        assert log[0]["error"] == "non-finite score for user 'u0'"
+        assert best == {"epochs": 1}
+
     def test_all_failed_raises_tuning_error(self):
         ds = clique_dataset()
         with pytest.raises(TuningError):
@@ -328,6 +347,19 @@ class TestEvaluate:
             evaluate_model(model, ds, bad, compute_popularity(ds), ["low", "high"])
         with pytest.raises(ValidationError, match="not a subset"):
             _mean_ap(model, bad, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_score_raises_naming_the_user(self, monkeypatch, bad):
+        ds = make_dataset([[1, 1, 1, 0], [1, 0, 1, 1]])
+        split = split_mask(ds, 0.5, seed=0)
+        model = PopularityRecommender().fit(split.train)
+        scores = model.score_user
+        monkeypatch.setattr(model, "score_user",
+                            lambda u: np.where(np.arange(4) == 3, bad, scores(u)))
+        with pytest.raises(NumericalError, match="non-finite score for user 'u0'"):
+            evaluate_model(model, ds, split, compute_popularity(ds), ["low", "high"])
+        with pytest.raises(NumericalError, match="non-finite score for user 'u0'"):
+            _mean_ap(model, split, 2)
 
     def test_skipped_users_counted(self):
         # single-artist users have empty masked sets and cannot be scored by AUC

@@ -90,37 +90,41 @@ class TestFit:
             assert np.all(np.diag(W) == 0.0)
             assert model.weights_.nnz == 0 or model.weights_.data.min() > 0
 
-    def test_signed_variant_allows_negative_weights(self):
-        rng = np.random.default_rng(1)
-        found_negative = False
-        for trial in range(10):
-            ds = random_dataset(rng, num_users=10, num_artists=8)
-            model = SlimRecommender(l1_penalty=0.0, l2_penalty=0.05,
-                                    non_negative=False).fit(ds)
-            if model.weights_.nnz and model.weights_.data.min() < 0:
-                found_negative = True
-                break
-        assert found_negative
-
-    @pytest.mark.parametrize("non_negative", [True, False])
     @pytest.mark.parametrize("binarize", [False, True])
     @pytest.mark.parametrize("tolerance", [1e-12, 1e-2])
-    def test_matches_reference_solver_byte_for_byte(self, non_negative, binarize, tolerance):
-        rng = np.random.default_rng([int(non_negative), int(binarize), int(tolerance < 1e-6)])
+    def test_matches_reference_solver_byte_for_byte(self, binarize, tolerance):
+        rng = np.random.default_rng([1, int(binarize), int(tolerance < 1e-6)])
         for trial in range(8):
             ds = random_dataset(rng, num_users=int(rng.integers(2, 14)),
                                 num_artists=int(rng.integers(2, 16)))
             model = SlimRecommender(
                 l1_penalty=float(rng.choice([0.0, 0.01, 0.1, 1.0])),
                 l2_penalty=float(rng.choice([0.0, 0.05, 1.0])),
-                non_negative=non_negative, binarize=binarize,
-                tolerance=tolerance, max_iters=int(rng.choice([1, 4, 500])),
+                binarize=binarize, tolerance=tolerance, max_iters=int(rng.choice([1, 4, 500])),
             ).fit(ds)
             want = reference_weights(model, ds)
             for name in ("data", "indices", "indptr"):
                 got = getattr(model.weights_, name)
                 assert got.dtype == getattr(want, name).dtype, name
                 assert got.tobytes() == getattr(want, name).tobytes(), (trial, name)
+
+    @pytest.mark.parametrize("binarize", [False, True])
+    def test_pattern_is_the_off_diagonal_of_the_gram(self, binarize):
+        rng = np.random.default_rng([9, int(binarize)])
+        for trial in range(8):
+            ds = random_dataset(rng, num_users=int(rng.integers(1, 14)),
+                                num_artists=int(rng.integers(1, 16)))
+            mat = SlimRecommender(binarize=binarize)._transform(ds)
+            indptr, cols, corr, col_norms = slim._candidate_pattern(mat)
+            gram = mat.toarray().T @ mat.toarray()
+            rows, want_cols = np.nonzero(gram)
+            off = rows != want_cols
+            want_indptr = np.cumsum(np.bincount(rows[off], minlength=ds.num_artists))
+            assert indptr.dtype == np.int64 and cols.dtype == np.int32
+            assert indptr.tolist() == [0] + want_indptr.tolist(), trial
+            assert cols.tolist() == want_cols[off].tolist(), trial
+            assert corr.tobytes() == gram[rows[off], want_cols[off]].tobytes(), trial
+            assert col_norms.tobytes() == np.diag(gram).tobytes(), trial
 
     def test_trace_matches_reference_per_column(self):
         rng = np.random.default_rng(3)
@@ -150,15 +154,6 @@ class TestFit:
         listened = np.unique(cols)
         assert np.isin(W.indices, listened).all()
         assert np.isin(np.flatnonzero(np.diff(W.indptr)), listened).all()
-
-    def test_signed_pattern_larger_than_memory_raises_before_allocating(self):
-        # 200k artists with plays: the signed path's 4e10 pairs need about 1.6 TB
-        n = 200_000
-        ds = InteractionDataset([f"u{u}" for u in range(n)], [f"a{a}" for a in range(n)],
-                                sp.identity(n, dtype=np.int64, format="csr"))
-        with pytest.raises(NumericalError, match=r"the signed all-pairs pattern of 200,000 "
-                           r"artists needs [\d,]+ bytes, more than the [\d,]+ bytes"):
-            SlimRecommender(non_negative=False).fit(ds)
 
     def test_non_finite_update_raises_naming_column(self, monkeypatch):
         # column 1's tiny norm makes column 0's update overflow to inf
@@ -191,10 +186,7 @@ def tail_heavy_dataset(rng, num_users=40, num_artists=60):
 
 def solver_runs(model, ds):
     """The pattern and the run bounds ``model``'s solver uses on ``ds``."""
-    mat = model._transform(ds)
-    gram = (mat.T @ mat).tocsr()
-    gram.sort_indices()
-    indptr, cols, corr = slim._candidate_pattern(gram, gram.diagonal(), model.non_negative)
+    indptr, cols, corr, _ = slim._candidate_pattern(model._transform(ds))
     return indptr, slim._coordinate_runs(indptr, cols, corr, ds.num_artists)
 
 
@@ -241,23 +233,20 @@ class TestRuns:
             if stop < n:
                 assert cooccur[stop, first:stop].any() or stop - first == max_len
 
-    @pytest.mark.parametrize("non_negative", [True, False])
-    def test_zipf_dataset_matches_reference_byte_for_byte(self, zipf_dataset, non_negative):
-        model = SlimRecommender(l1_penalty=0.5, l2_penalty=1.0, non_negative=non_negative,
-                                max_iters=200 if non_negative else 3)
+    def test_zipf_dataset_matches_reference_byte_for_byte(self, zipf_dataset):
+        model = SlimRecommender(l1_penalty=0.5, l2_penalty=1.0, max_iters=200)
         assert longest_run(model, zipf_dataset) >= 2
         model.fit(zipf_dataset)
         assert model.steps_ < zipf_dataset.num_artists * model.sweeps_
         assert_same_weights(model, zipf_dataset)
 
-    @pytest.mark.parametrize("non_negative", [True, False])
-    def test_tail_heavy_instances_match_reference_byte_for_byte(self, non_negative):
-        rng = np.random.default_rng(int(non_negative))
+    def test_tail_heavy_instances_match_reference_byte_for_byte(self):
+        rng = np.random.default_rng(1)
         for trial in range(4):
             ds = tail_heavy_dataset(rng)
             model = SlimRecommender(l1_penalty=float(rng.choice([0.0, 0.1, 1.0])),
                                     l2_penalty=float(rng.choice([0.0, 0.5])),
-                                    non_negative=non_negative, tolerance=1e-10)
+                                    tolerance=1e-10)
             assert longest_run(model, ds) >= 2
             assert_same_weights(model.fit(ds), ds)
 
@@ -360,6 +349,7 @@ class TestKkt:
         A = ds.counts.toarray().astype(float)
         W = model.weights_.toarray()
         l1, l2 = model.l1_penalty, model.l2_penalty
+        assert (W >= 0).all()
         for j in range(ds.num_artists):
             r = A[:, j] - A @ W[:, j]
             for i in range(ds.num_artists):
@@ -368,26 +358,14 @@ class TestKkt:
                 g = -A[:, i] @ r + l2 * W[i, j]
                 if W[i, j] > 0:
                     assert abs(g + l1) <= tol, (i, j, g)
-                elif W[i, j] < 0:
-                    assert abs(g - l1) <= tol, (i, j, g)
-                elif model.non_negative:
-                    assert g + l1 >= -tol, (i, j, g)
                 else:
-                    assert abs(g) <= l1 + tol, (i, j, g)
+                    assert g + l1 >= -tol, (i, j, g)
 
     def test_kkt_on_random_instances_nonneg(self):
         rng = np.random.default_rng(7)
         for trial in range(5):
             ds = random_dataset(rng, num_users=15, num_artists=10)
             model = SlimRecommender(l1_penalty=0.1, l2_penalty=0.2,
-                                    tolerance=1e-12, max_iters=2000).fit(ds)
-            self.check_kkt(ds, model)
-
-    def test_kkt_on_random_instances_signed(self):
-        rng = np.random.default_rng(8)
-        for trial in range(5):
-            ds = random_dataset(rng, num_users=15, num_artists=10)
-            model = SlimRecommender(l1_penalty=0.1, l2_penalty=0.2, non_negative=False,
                                     tolerance=1e-12, max_iters=2000).fit(ds)
             self.check_kkt(ds, model)
 
