@@ -459,13 +459,11 @@ def evaluate_model(
 
 
 def _mean_ap(model, split: SplitDataset, k: int) -> float | None:
-    """Mean AP@K over the users with an evaluable holdout.
+    """Mean AP@K over the users with an evaluable holdout (``tune`` checks k >= 1).
 
     Each user's AP@K is summed over the hits in the top K in rank order, in
     the same float operations as ``metrics.average_precision_at_k``.
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
     values = []
     for _, ranks, _ in _ranked_users(model, split):
         if ranks is None:
@@ -494,8 +492,10 @@ def tune(
     """
     if not grid:
         raise ValidationError("tuning grid is empty")
-    inner = split_mask(train, 0.1, seed=tune_seed)
     k = ap_k if ap_k is not None else default_ap_k(train.num_artists)
+    if k < 1:
+        raise ValidationError(f"ap_k must be >= 1, got {k}")
+    inner = split_mask(train, 0.1, seed=tune_seed)
     log: list[dict] = []
     best_idx = None
     best_score = -math.inf

@@ -9,7 +9,7 @@ from .base import (
     recommend_top_n,
 )
 from .multivae import MultiVaeRecommender, elbo_loss, gradient, kl_gaussian
-from .slim import SlimRecommender, slim_objective
+from .slim import SlimRecommender
 from .wrmf import WrmfRecommender, solve_factors, wrmf_objective
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "positive_ranks",
     "rank_candidates",
     "recommend_top_n",
-    "slim_objective",
     "solve_factors",
     "wrmf_objective",
 ]

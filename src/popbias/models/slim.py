@@ -28,20 +28,24 @@ from .base import RecommenderModel
 
 def _candidate_pattern(mat):
     """The gram G = A^T A of ``mat`` as the CSR ``(indptr, cols, corr)`` of the
-    coordinates i each column j visits, in ascending order with G[j, i] as the
-    value, and the diagonal ``col_norms``; the diagonal is never a candidate.
+    coordinates i != j each column j visits, in ascending order with G[j, i] as
+    the value; the diagonal ``col_norms``; and ``neighbour[i]``, the largest
+    lower k with G[i, k] != 0, the entry before G[i, i] >= 1 in row i, or -1.
 
     A coordinate that never co-occurs with the column has optimum 0 under
-    non-negativity, so the pattern is that of G.  Artist indices always fit in
-    int32, which halves the index memory of the pattern.
+    non-negativity, so the pattern is that of G (SciPy stores no zeros).  Artist
+    indices always fit in int32, which halves the index memory of the pattern.
     """
     gram = (mat.T @ mat).tocsr()
     gram.sort_indices()  # each column visits its coordinates in ascending order
     rows = np.repeat(np.arange(gram.shape[0], dtype=gram.indices.dtype), np.diff(gram.indptr))
     diagonal = np.flatnonzero(gram.indices == rows)
+    lower = diagonal[diagonal > gram.indptr[rows[diagonal]]]
+    neighbour = np.full(gram.shape[0], -1)
+    neighbour[rows[lower]] = gram.indices[lower - 1]
     indptr = gram.indptr - np.searchsorted(diagonal, gram.indptr)
     cols = np.delete(gram.indices, diagonal).astype(np.int32, copy=False)
-    return indptr, cols, np.delete(gram.data, diagonal), gram.diagonal()
+    return indptr, cols, np.delete(gram.data, diagonal), gram.diagonal(), neighbour
 
 
 # Fixed budgets that bound a step's temporaries whatever the run length or the
@@ -50,19 +54,14 @@ _LOOKUP_BYTES = 8 * 2**20  # rows of G held for one run's rank-1 updates
 _UPDATE_ENTRIES = 2**18  # pattern positions one chunk of rank-1 updates touches
 
 
-def _coordinate_runs(indptr, cols, corr, max_len):
+def _coordinate_runs(neighbour, max_len):
     """Bounds of the runs: run r is the coordinates ``bounds[r] <= i < bounds[r + 1]``.
 
     Runs are consecutive, cover every coordinate, and hold no two coordinates
     that co-occur (G[i1, i2] != 0).  Coordinate i starts a new run when its
-    largest lower neighbour with a nonzero G value lies in the current run, or
-    when the run already holds ``max_len`` coordinates.
+    largest lower neighbour ``neighbour[i]`` (see ``_candidate_pattern``) lies
+    in the current run, or when the run already holds ``max_len`` coordinates.
     """
-    num_artists = indptr.size - 1
-    rows = np.repeat(np.arange(num_artists, dtype=np.int32), np.diff(indptr))
-    lower = (cols < rows) & (corr != 0)
-    neighbour = np.full(num_artists, -1)
-    np.maximum.at(neighbour, rows[lower], cols[lower])
     starts, first = [], 0
     linked = np.flatnonzero(neighbour >= 0)
     for i, k in zip(linked.tolist(), neighbour[linked].tolist()):
@@ -70,17 +69,25 @@ def _coordinate_runs(indptr, cols, corr, max_len):
         if k >= first + (i - first) // max_len * max_len:
             starts.extend(range(first, i, max_len))
             first = i
-    starts.extend(range(first, num_artists, max_len))
-    return np.array(starts + [num_artists])
+    starts.extend(range(first, neighbour.size, max_len))
+    return np.array(starts + [neighbour.size])
 
 
-def _coordinate_descent(indptr, cols, corr, col_norms, l1, l2, max_iters, tolerance, trace):
+def _flip(indptr, cols):
+    """Position of (i, j) per entry (j, i): the CSC order of the symmetric pattern."""
+    positions = np.arange(cols.size, dtype=np.int32 if cols.size < 2**31 else np.int64)
+    return sp.csr_matrix((positions, cols, indptr), shape=(indptr.size - 1,) * 2).tocsc().data
+
+
+def _coordinate_descent(indptr, cols, corr, col_norms, neighbour, l1, l2, max_iters,
+                        tolerance, trace):
     """Weights on the candidate pattern (row j holds column j of W), with the
     number of sweeps and of vectorised steps taken.
 
     Per column, the floating-point operations and their order are those of a
     cyclic descent over its candidates in ascending index: ``partial`` holds
-    (G w_j)[i] at the position of (j, i).  One step updates every active
+    (G w_j)[i] at the position of (j, i), and G[j, i] is read as G[i, j], which
+    sums the same products in the same order.  One step updates every active
     column at every coordinate of a run (see ``_coordinate_runs``).  This is
     exact: the update at i1 moves column j's ``partial`` at another run
     coordinate i2 by delta * G[i1, i2] = +-0, and ``partial`` starts at +0.0
@@ -91,21 +98,13 @@ def _coordinate_descent(indptr, cols, corr, col_norms, l1, l2, max_iters, tolera
     ``np.add.at`` over the moved entries in storage order does that, in chunks
     of at most ``_UPDATE_ENTRIES`` positions (or one column's row), and
     ``lookup`` holds G[i, :] for the run's coordinates.  A column leaves the
-    active set after the first sweep whose largest |delta| is below
-    ``tolerance``.
+    active set after a sweep whose largest |delta| is below ``tolerance``.
     """
     num_artists = col_norms.size
     row_len = np.diff(indptr)
-    bounds = _coordinate_runs(indptr, cols, corr,
-                              max(1, _LOOKUP_BYTES // (8 * max(num_artists, 1))))
+    bounds = _coordinate_runs(neighbour, max(1, _LOOKUP_BYTES // (8 * max(num_artists, 1))))
     run_bounds = bounds.tolist()
-    # flip[p] is the position of (i, j) for the entry p = (j, i); the
-    # pattern is symmetric, so row i lists the columns that visit i.  Entries
-    # are stored by ascending row, so a stable sort by column orders each
-    # column's entries by row.
-    flip = np.argsort(cols, kind="stable")
-    if cols.size < 2**31:
-        flip = flip.astype(np.int32)
+    flip = _flip(indptr, cols)
     w = np.zeros(cols.size)
     partial = np.zeros(cols.size)
     # during the step of the run from ``first``, lookup[(i - first) * n + k]
@@ -127,16 +126,16 @@ def _coordinate_descent(indptr, cols, corr, col_norms, l1, l2, max_iters, tolera
             # stored as int32, indexed as intp: NumPy casts other index types
             # on every use, which costs more than one cast per step
             entries = cols[lo:hi].astype(np.intp)
-            # each entry's coordinate i: the offset of its lookup row, and G[i, i]
+            # each entry (i, j): the offset of i's lookup row, G[i, i] and G[i, j]
             run_lens = row_len[first:stop]
             row_at = np.arange(0, (stop - first) * num_artists, num_artists).repeat(run_lens)
-            js, at, rs, norms = (entries, flip[lo:hi].astype(np.intp), row_at,
-                                 col_norms[first:stop].repeat(run_lens))
+            js, at, rs, norms, g = (entries, flip[lo:hi].astype(np.intp), row_at,
+                                    col_norms[first:stop].repeat(run_lens), corr[lo:hi])
             is_active = active[js]
             if not is_active.all():
-                js, at, rs, norms = js[is_active], at[is_active], rs[is_active], norms[is_active]
+                js, at, rs, norms, g = (a[is_active] for a in (js, at, rs, norms, g))
             w_old = w[at]
-            rho = corr[at] - (partial[at] - norms * w_old)
+            rho = g - (partial[at] - norms * w_old)
             denom = norms + l2
             shrunk = rho - l1  # np.where, not np.maximum: NaN maps to 0 like max(0.0, x)
             w_new = np.where(shrunk > 0.0, shrunk, 0.0) / denom
@@ -240,9 +239,9 @@ class SlimRecommender(RecommenderModel):
         """
         mat = self._transform(train)
         num_artists = train.num_artists
-        indptr, cols, corr, col_norms = _candidate_pattern(mat)
+        indptr, cols, corr, col_norms, neighbour = _candidate_pattern(mat)
         w, self.sweeps_, self.steps_ = _coordinate_descent(
-            indptr, cols, corr, col_norms, self.l1_penalty, self.l2_penalty,
+            indptr, cols, corr, col_norms, neighbour, self.l1_penalty, self.l2_penalty,
             self.max_iters, self.tolerance, trace,
         )
         keep = w != 0.0
@@ -261,27 +260,3 @@ class SlimRecommender(RecommenderModel):
         self._require_fitted()
         row = self._train_rows.getrow(user)
         return np.asarray((row @ self._weights_csr).todense()).ravel()
-
-
-def slim_objective(
-    train: InteractionDataset,
-    weights,
-    l1_penalty: float,
-    l2_penalty: float,
-    binarize: bool = False,
-) -> float:
-    """Value of the elastic-net reconstruction objective for a weight matrix."""
-    weights = sp.csc_matrix(weights)
-    if weights.shape != (train.num_artists, train.num_artists):
-        raise ValidationError(
-            f"weight matrix shape {weights.shape} does not match "
-            f"{train.num_artists} artists"
-        )
-    mat = train.counts.astype(np.float64)
-    if binarize:
-        mat.data = np.ones_like(mat.data)
-    residual = mat - mat @ weights
-    fit_term = 0.5 * float(residual.multiply(residual).sum())
-    ridge = 0.5 * l2_penalty * float(np.sum(weights.data**2))
-    lasso = l1_penalty * float(np.sum(np.abs(weights.data)))
-    return fit_term + ridge + lasso

@@ -3,13 +3,15 @@
 This is the original per-column cyclic coordinate descent, with weights held
 non-negative.  The library's solver runs all columns at once over the sparsity
 pattern of the gram and must reproduce these weights byte for byte; the tests
-compare the two.
+compare the two.  ``slim_objective`` is the objective the tests' descent and
+oracle checks evaluate.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from popbias.errors import NumericalError
+from popbias.corpus import InteractionDataset
+from popbias.errors import NumericalError, ValidationError
 
 
 def fit_column(gram, col_norms, j, l1, l2, max_iters, tolerance, trace):
@@ -67,3 +69,27 @@ def reference_weights(model, train, trace=None) -> sp.csc_matrix:
     indices = np.concatenate([idx for idx, _ in columns]) if indptr[-1] else np.empty(0, np.int64)
     data = np.concatenate([vals for _, vals in columns]) if indptr[-1] else np.empty(0, np.float64)
     return sp.csc_matrix((data, indices, indptr), shape=(num_artists, num_artists))
+
+
+def slim_objective(
+    train: InteractionDataset,
+    weights,
+    l1_penalty: float,
+    l2_penalty: float,
+    binarize: bool = False,
+) -> float:
+    """Value of the elastic-net reconstruction objective for a weight matrix."""
+    weights = sp.csc_matrix(weights)
+    if weights.shape != (train.num_artists, train.num_artists):
+        raise ValidationError(
+            f"weight matrix shape {weights.shape} does not match "
+            f"{train.num_artists} artists"
+        )
+    mat = train.counts.astype(np.float64)
+    if binarize:
+        mat.data = np.ones_like(mat.data)
+    residual = mat - mat @ weights
+    fit_term = 0.5 * float(residual.multiply(residual).sum())
+    ridge = 0.5 * l2_penalty * float(np.sum(weights.data**2))
+    lasso = l1_penalty * float(np.sum(np.abs(weights.data)))
+    return fit_term + ridge + lasso

@@ -34,7 +34,7 @@ from popbias.harness import (
 )
 from popbias.harness.experiment import _mean_ap
 from popbias.metrics import gap
-from popbias.models import PopularityRecommender
+from popbias.models import PopularityRecommender, WrmfRecommender
 
 import ranking_reference
 from conftest import OracleModel, make_dataset
@@ -291,6 +291,15 @@ class TestTune:
         ds = clique_dataset()
         with pytest.raises(TuningError):
             tune("wrmf", [{"factors": 0}, {"ridge": -1}], ds, tune_seed=0)
+
+    @pytest.mark.parametrize("ap_k", [0, -3])
+    def test_bad_ap_k_raises_before_any_fit(self, monkeypatch, ap_k):
+        fitted = []
+        monkeypatch.setattr(WrmfRecommender, "fit", lambda model, train: fitted.append(model))
+        grid = [{"factors": 2, "sweeps": 2}, {"factors": 3, "sweeps": 2}]
+        with pytest.raises(ValidationError, match=f"^ap_k must be >= 1, got {ap_k}$"):
+            tune("wrmf", grid, clique_dataset(), tune_seed=0, ap_k=ap_k)
+        assert fitted == []
 
     def test_deterministic(self):
         ds = clique_dataset()

@@ -10,11 +10,11 @@ from pytest import approx
 
 from popbias.corpus import InteractionDataset, SyntheticConfig, generate_synthetic, split_mask
 from popbias.errors import NumericalError, ValidationError
-from popbias.models import SlimRecommender, slim_objective
+from popbias.models import SlimRecommender
 from popbias.models import slim
 
 from conftest import make_dataset, random_dataset
-from slim_reference import reference_weights
+from slim_reference import reference_weights, slim_objective
 
 TOY = make_dataset([
     [1, 2, 1],
@@ -42,6 +42,11 @@ def lattice_search(A, j, l1, l2, step=0.01, upper=1.0):
             if obj < best_obj:
                 best_obj, best_w = obj, w.copy()
     return best_w
+
+
+def largest_lower(cooccur):
+    """Oracle: for each row i, the largest k < i with ``cooccur[i, k]``, or -1."""
+    return [max(np.flatnonzero(cooccur[i, :i]), default=-1) for i in range(len(cooccur))]
 
 
 def wide_sparse_dataset(num_users=20, num_artists=200_000):
@@ -115,7 +120,7 @@ class TestFit:
             ds = random_dataset(rng, num_users=int(rng.integers(1, 14)),
                                 num_artists=int(rng.integers(1, 16)))
             mat = SlimRecommender(binarize=binarize)._transform(ds)
-            indptr, cols, corr, col_norms = slim._candidate_pattern(mat)
+            indptr, cols, corr, col_norms, neighbour = slim._candidate_pattern(mat)
             gram = mat.toarray().T @ mat.toarray()
             rows, want_cols = np.nonzero(gram)
             off = rows != want_cols
@@ -125,6 +130,16 @@ class TestFit:
             assert cols.tolist() == want_cols[off].tolist(), trial
             assert corr.tobytes() == gram[rows[off], want_cols[off]].tobytes(), trial
             assert col_norms.tobytes() == np.diag(gram).tobytes(), trial
+            assert neighbour.tolist() == largest_lower(gram != 0), trial
+
+    def test_flip_is_the_stable_column_order_on_the_desk_split(self):
+        config = SyntheticConfig(num_users=501, num_artists=2000, zipf_exponent=1.0,
+                                 profile_size_range=(10, 40))
+        train = split_mask(generate_synthetic(config, seed=11), 0.2, seed=12).train
+        indptr, cols, *_ = slim._candidate_pattern(SlimRecommender()._transform(train))
+        flip = slim._flip(indptr, cols)
+        assert flip.dtype == np.int32
+        assert np.array_equal(flip, np.argsort(cols, kind="stable"))
 
     def test_trace_matches_reference_per_column(self):
         rng = np.random.default_rng(3)
@@ -186,8 +201,8 @@ def tail_heavy_dataset(rng, num_users=40, num_artists=60):
 
 def solver_runs(model, ds):
     """The pattern and the run bounds ``model``'s solver uses on ``ds``."""
-    indptr, cols, corr, _ = slim._candidate_pattern(model._transform(ds))
-    return indptr, slim._coordinate_runs(indptr, cols, corr, ds.num_artists)
+    indptr, _, _, _, neighbour = slim._candidate_pattern(model._transform(ds))
+    return indptr, slim._coordinate_runs(neighbour, ds.num_artists)
 
 
 def longest_run(model, ds):
@@ -224,7 +239,7 @@ class TestRuns:
     def test_runs_are_consecutive_cover_all_and_hold_no_cooccurring_pair(self, pattern, max_len):
         indptr, cols, corr, cooccur = pattern
         n = indptr.size - 1
-        bounds = slim._coordinate_runs(indptr, cols, corr, max_len)
+        bounds = slim._coordinate_runs(np.array(largest_lower(cooccur)), max_len)
         assert bounds[0] == 0 and bounds[-1] == n
         assert np.all(np.diff(bounds) >= 1) and np.all(np.diff(bounds) <= max_len)
         for first, stop in zip(bounds[:-1], bounds[1:]):
@@ -232,6 +247,14 @@ class TestRuns:
             # maximal: the next coordinate co-occurs with a member, or the run is full
             if stop < n:
                 assert cooccur[stop, first:stop].any() or stop - first == max_len
+
+    def test_neighbours_on_tail_heavy_instances(self):
+        # sparse profiles: many artists co-occur with no lower artist
+        rng = np.random.default_rng(2)
+        for trial in range(4):
+            mat = SlimRecommender()._transform(tail_heavy_dataset(rng))
+            neighbour = slim._candidate_pattern(mat)[4]
+            assert neighbour.tolist() == largest_lower((mat.T @ mat).toarray() != 0), trial
 
     def test_zipf_dataset_matches_reference_byte_for_byte(self, zipf_dataset):
         model = SlimRecommender(l1_penalty=0.5, l2_penalty=1.0, max_iters=200)
