@@ -562,17 +562,13 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> InteractionDataset
                 f"synthetic group {label!r}: only {drawable} artists have a non-zero "
                 f"sampling weight, fewer than the largest profile size {hi}"
             )
-    rows, cols, vals = [], [], []
+    cols, vals = [], []
     for u in range(nu):
         rng = _user_rng(seed, u)
         k = int(rng.integers(lo, hi, endpoint=True))
-        profile = np.sort(rng.choice(na, size=k, replace=False, p=weights[group_of[u]]))
-        plays = rng.geometric(config.count_geometric_p, size=k)
-        rows.append(np.full(k, u, dtype=np.int64))
-        cols.append(profile.astype(np.int64))
-        vals.append(plays.astype(np.int64))
-    counts = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nu, na),
-    ).tocsr()
+        cols.append(np.sort(rng.choice(na, size=k, replace=False, p=weights[group_of[u]])))
+        vals.append(rng.geometric(config.count_geometric_p, size=k))
+    # each profile is sorted and distinct, so these already are the CSR arrays
+    indptr = np.cumsum([0] + [len(c) for c in cols])
+    counts = sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), shape=(nu, na))
     return InteractionDataset(users, artists, counts, group_of)

@@ -18,7 +18,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from itertools import chain
 from pathlib import Path
 from types import NoneType
@@ -66,8 +66,6 @@ from ..models import (
 )
 
 _log = logging.getLogger(__name__)
-
-GROUP_ORDER = ("all",) + GROUP_LABELS
 
 MODEL_FACTORIES = {
     "popularity": PopularityRecommender,
@@ -323,26 +321,17 @@ class ExperimentReport:
     provenance: dict
     tuning_results: dict = field(default_factory=dict)
 
+    # kv names of GroupMetrics' fields, in field order
     _METRICS = ("users", "skipped", "auc_mean", "auc_stderr", "gap_p", "gap_r", "delta_gap")
-
-    def _metric_value(self, gm: GroupMetrics, metric: str) -> float:
-        if metric == "users":
-            return float(gm.n_users)
-        if metric == "skipped":
-            return float(gm.n_skipped)
-        return getattr(gm, metric)
 
     def to_kv_lines(self) -> list[str]:
         lines = []
         for key in sorted(self.provenance):
             lines.append(f"provenance.{key}={self.provenance[key]}")
         for model, groups in self.model_groups.items():
-            for group in GROUP_ORDER:
-                if group not in groups:
-                    continue
-                gm = groups[group]
-                for metric in self._METRICS:
-                    lines.append(f"{metric}.{model}.{group}={self._metric_value(gm, metric):.6f}")
+            for group, gm in groups.items():
+                for metric, value in zip(self._METRICS, astuple(gm)):
+                    lines.append(f"{metric}.{model}.{group}={value:.6f}")
         return lines
 
     def to_text(self) -> str:
@@ -353,10 +342,7 @@ class ExperimentReport:
         lines = ["Accuracy and popularity lift by model and user group", "", header,
                  "-" * len(header)]
         for model, groups in self.model_groups.items():
-            for group in GROUP_ORDER:
-                if group not in groups:
-                    continue
-                gm = groups[group]
+            for group, gm in groups.items():
                 lines.append(
                     f"{model:<12} {group:<8} {gm.n_users:>6d} {gm.n_skipped:>8d} "
                     f"{gm.auc_mean:>9.4f} {gm.auc_stderr:>9.4f} {gm.gap_p:>9.4f} "
@@ -373,6 +359,8 @@ class ExperimentReport:
         return write_report_files(out_dir, "report", self.to_text(), self.to_kv_lines())
 
 
+# Fixes the report's group order: each model's groups are written in this
+# dict's order, "all" then GROUP_LABELS, with empty groups left out by the caller.
 def _group_indices(group_labels: list[str], num_users: int) -> dict[str, np.ndarray]:
     groups = {"all": np.arange(num_users)}
     labels_arr = np.asarray(group_labels, dtype=object)

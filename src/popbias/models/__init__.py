@@ -6,9 +6,8 @@ from .base import (
     RecommenderModel,
     positive_ranks,
     rank_candidates,
-    recommend_top_n,
 )
-from .multivae import MultiVaeRecommender, elbo_loss, gradient, kl_gaussian
+from .multivae import MultiVaeRecommender, kl_gaussian
 from .slim import SlimRecommender
 from .wrmf import WrmfRecommender, solve_factors, wrmf_objective
 
@@ -19,12 +18,9 @@ __all__ = [
     "RecommenderModel",
     "SlimRecommender",
     "WrmfRecommender",
-    "elbo_loss",
-    "gradient",
     "kl_gaussian",
     "positive_ranks",
     "rank_candidates",
-    "recommend_top_n",
     "solve_factors",
     "wrmf_objective",
 ]

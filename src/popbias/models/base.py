@@ -122,7 +122,7 @@ def rank_candidates(scores: np.ndarray, exclude=None, n: int | None = None) -> n
     ``exclude`` (typically the user's training profile) is removed from the
     returned ordering entirely.  NaN scores rank last, -0.0 ties with 0.0.
     ``n >= 0`` keeps only the first ``n`` entries of that ordering; None keeps
-    all.
+    all, and a negative ``n`` raises ``ValidationError``.
 
     The ordering is one stable ``argsort`` of the negated scores: it puts NaN
     last, ties -0.0 with 0.0 and keeps equal scores in index order.  With
@@ -133,6 +133,8 @@ def rank_candidates(scores: np.ndarray, exclude=None, n: int | None = None) -> n
     ordering.  The pool is every candidate when ``n`` is None, or when the
     ``n``-th value is NaN: then fewer than ``n`` candidates have a score.
     """
+    if n is not None and n < 0:
+        raise ValidationError(f"n must be >= 0, got {n}")
     neg = _negated(np.asarray(scores, dtype=np.float64), exclude)
     kth = np.nan
     if n is not None and 0 < n <= len(neg):
@@ -172,16 +174,3 @@ def positive_ranks(scores: np.ndarray, exclude, positives) -> tuple[np.ndarray, 
                                      else before == value)
     return np.sort(ranks), int(np.count_nonzero(keep))
 
-
-def recommend_top_n(
-    model: RecommenderModel, train: InteractionDataset, user: int, n: int
-) -> np.ndarray:
-    """Top-n artists for a user after excluding their training profile.
-
-    Returns fewer than n artists when fewer candidates exist.
-    """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if not 0 <= user < train.num_users:
-        raise ValidationError(f"user index {user} out of range")
-    return rank_candidates(model.score_user(user), exclude=train.profile(user), n=n)

@@ -22,14 +22,6 @@ from ..corpus import InteractionDataset, require_memory
 from ..errors import NumericalError, ValidationError
 from .base import RecommenderModel
 
-PARAM_KEYS = (
-    "w_enc", "b_enc",
-    "w_mu", "b_mu",
-    "w_logvar", "b_logvar",
-    "w_dec", "b_dec",
-    "w_out", "b_out",
-)
-
 
 def init_params(num_items: int, hidden_dim: int, latent_dim: int, rng) -> dict:
     """Xavier-uniform weights, zero biases."""
@@ -132,47 +124,6 @@ def _sgd(params, batch, lr, key, g):
     g /= batch
     g *= lr
     params[key] -= g
-
-
-def _batch_loss_and_grads(params, X_target, X_input, eps, beta):
-    """Mean (total, nll, kl) over the batch and the mean gradient of every parameter."""
-    batch, n = X_target.shape
-    logits, ex = np.empty((batch, n)), np.empty((batch, n))
-    rows, acts = _forward_loss(params, X_target, X_input, eps, beta, logits, ex)
-    grads = {}
-
-    def keep(key, g):
-        grads[key] = g / batch
-
-    _backward(params, acts, X_target, X_input, eps, beta, logits, ex,
-              np.empty(params["w_out"].size), keep)
-    return tuple(float(r.mean()) for r in rows), grads
-
-
-def elbo_loss(x, params, z_noise, beta) -> tuple[float, float, float]:
-    """(total, negative_log_likelihood, kl) for a single normalized row."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValidationError(f"beta must be in [0, 1], got {beta}")
-    x = np.asarray(x, dtype=np.float64)
-    z_noise = np.asarray(z_noise, dtype=np.float64)
-    if x.shape != (params["w_enc"].shape[1],):
-        raise ValidationError("input row does not match the encoder width")
-    if z_noise.shape != (params["w_mu"].shape[0],):
-        raise ValidationError("noise draw does not match the latent width")
-    x = x[None, :]
-    rows, _ = _forward_loss(params, x, x, z_noise[None, :], beta,
-                            np.empty_like(x), np.empty_like(x))
-    return tuple(float(r[0]) for r in rows)
-
-
-def gradient(x, params, z_noise, beta) -> dict:
-    """Exact analytic gradient of ``elbo_loss`` at a fixed noise draw."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValidationError(f"beta must be in [0, 1], got {beta}")
-    x = np.asarray(x, dtype=np.float64)[None, :]
-    z_noise = np.asarray(z_noise, dtype=np.float64)[None, :]
-    _, grads = _batch_loss_and_grads(params, x, x, z_noise, beta)
-    return grads
 
 
 class MultiVaeRecommender(RecommenderModel):

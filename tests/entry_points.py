@@ -1,0 +1,72 @@
+"""Entry points only the tests call: Multi-VAE's loss and gradient, and top-N.
+
+``elbo_loss`` and ``gradient`` are the finite-difference oracle's entry
+points.  They wrap the library's ``_forward_loss`` and ``_backward``, the
+step ``MultiVaeRecommender.fit`` runs, so the oracle checks that step
+itself.  ``recommend_top_n`` is ``rank_candidates`` with ``n`` over one
+user's scores, their training profile excluded.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from popbias.corpus import InteractionDataset
+from popbias.errors import ValidationError
+from popbias.models.base import RecommenderModel, rank_candidates
+from popbias.models.multivae import _backward, _forward_loss
+
+
+def _batch_loss_and_grads(params, X_target, X_input, eps, beta):
+    """Mean (total, nll, kl) over the batch and the mean gradient of every parameter."""
+    batch, n = X_target.shape
+    logits, ex = np.empty((batch, n)), np.empty((batch, n))
+    rows, acts = _forward_loss(params, X_target, X_input, eps, beta, logits, ex)
+    grads = {}
+
+    def keep(key, g):
+        grads[key] = g / batch
+
+    _backward(params, acts, X_target, X_input, eps, beta, logits, ex,
+              np.empty(params["w_out"].size), keep)
+    return tuple(float(r.mean()) for r in rows), grads
+
+
+def elbo_loss(x, params, z_noise, beta) -> tuple[float, float, float]:
+    """(total, negative_log_likelihood, kl) for a single normalized row."""
+    if not 0.0 <= beta <= 1.0:
+        raise ValidationError(f"beta must be in [0, 1], got {beta}")
+    x = np.asarray(x, dtype=np.float64)
+    z_noise = np.asarray(z_noise, dtype=np.float64)
+    if x.shape != (params["w_enc"].shape[1],):
+        raise ValidationError("input row does not match the encoder width")
+    if z_noise.shape != (params["w_mu"].shape[0],):
+        raise ValidationError("noise draw does not match the latent width")
+    x = x[None, :]
+    rows, _ = _forward_loss(params, x, x, z_noise[None, :], beta,
+                            np.empty_like(x), np.empty_like(x))
+    return tuple(float(r[0]) for r in rows)
+
+
+def gradient(x, params, z_noise, beta) -> dict:
+    """Exact analytic gradient of ``elbo_loss`` at a fixed noise draw."""
+    if not 0.0 <= beta <= 1.0:
+        raise ValidationError(f"beta must be in [0, 1], got {beta}")
+    x = np.asarray(x, dtype=np.float64)[None, :]
+    z_noise = np.asarray(z_noise, dtype=np.float64)[None, :]
+    _, grads = _batch_loss_and_grads(params, x, x, z_noise, beta)
+    return grads
+
+
+def recommend_top_n(
+    model: RecommenderModel, train: InteractionDataset, user: int, n: int
+) -> np.ndarray:
+    """Top-n artists for a user after excluding their training profile.
+
+    Returns fewer than n artists when fewer candidates exist.
+    """
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    if not 0 <= user < train.num_users:
+        raise ValidationError(f"user index {user} out of range")
+    return rank_candidates(model.score_user(user), exclude=train.profile(user), n=n)

@@ -35,12 +35,13 @@ from popbias.models import (
     RandomRecommender,
     SlimRecommender,
     WrmfRecommender,
-    recommend_top_n,
 )
-from popbias.models.multivae import PARAM_KEYS, elbo_loss, gradient, kl_gaussian
+from popbias.models.multivae import kl_gaussian
 from popbias.models.wrmf import solve_factors
 
 from conftest import OracleModel, make_dataset, random_dataset
+from entry_points import elbo_loss, gradient, recommend_top_n
+from multivae_reference import PARAM_KEYS
 from test_gapcalc import (
     HEADER,
     NEAR_SIGNIFICANT_PROFILE,

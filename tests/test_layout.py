@@ -3,11 +3,13 @@ open, create or write files; every other module calls them.  The session
 analysis in ``harness/gapcalc.py`` reads and writes through ``corpus``, not
 through the experiment harness, and imports no learner.  ``metrics.py`` takes
 popularity as a plain φ vector and imports nothing from popbias but its
-errors."""
+errors.  Entry points that only tests call live in ``tests/``, not ``src/``."""
 
 import ast
 import re
 from pathlib import Path
+
+import popbias.models
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "popbias"
 FILE_ACCESS = re.compile(r"open\(|\.read_text\(|\.write_text\(|\.mkdir\(")
@@ -57,6 +59,27 @@ def test_gapcalc_imports_no_learner():
     hits = sorted(name for name in imported_names(SRC / "harness" / "gapcalc.py")
                   if any(name == b or name.startswith(f"{b}.") for b in banned))
     assert not hits, f"harness/gapcalc.py imports {hits}"
+
+
+def test_models_export_no_test_only_entry_point():
+    assert sorted(popbias.models.__all__) == [
+        "MultiVaeRecommender", "PopularityRecommender", "RandomRecommender",
+        "RecommenderModel", "SlimRecommender", "WrmfRecommender", "kl_gaussian",
+        "positive_ranks", "rank_candidates", "solve_factors", "wrmf_objective",
+    ]
+    moved = {"elbo_loss", "gradient", "_batch_loss_and_grads", "recommend_top_n", "PARAM_KEYS"}
+    hits = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            hits.extend(f"{path.relative_to(SRC)}:{node.lineno}: {name}"
+                        for name in names if name in moved)
+    assert not hits, "test-only entry points defined under src/:\n" + "\n".join(hits)
 
 
 def test_metrics_imports_only_errors_from_popbias():

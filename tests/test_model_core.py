@@ -15,11 +15,11 @@ from popbias.models import (
     WrmfRecommender,
     positive_ranks,
     rank_candidates,
-    recommend_top_n,
 )
 
 import ranking_reference
 from conftest import make_dataset, random_dataset
+from entry_points import recommend_top_n
 
 
 class TestPopularityModel:
@@ -153,6 +153,11 @@ class TestTopNRanking:
                         cuts.add("signed zeros" if last == 0 and np.signbit(last) != np.signbit(
                             after) else "tie")
         assert cuts == {"nan", "tie", "signed zeros"}
+
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_negative_n_rejected(self, n):
+        with pytest.raises(ValidationError, match=f"n must be >= 0, got {n}"):
+            rank_candidates([5.0, 4.0, 3.0, 2.0, 1.0], n=n)
 
     def test_recommend_top_n_takes_the_prefix(self):
         for scores, _ in long_score_vectors(trials=6):

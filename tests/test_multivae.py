@@ -6,11 +6,12 @@ import pytest
 from pytest import approx
 
 from popbias.errors import ValidationError
-from popbias.models import MultiVaeRecommender, elbo_loss, gradient, kl_gaussian
-from popbias.models.multivae import PARAM_KEYS, _batch_loss_and_grads, init_params
+from popbias.models import MultiVaeRecommender, kl_gaussian
+from popbias.models.multivae import init_params
 
 from conftest import make_dataset, random_dataset
-from multivae_reference import reference_fit
+from entry_points import _batch_loss_and_grads, elbo_loss, gradient
+from multivae_reference import PARAM_KEYS, reference_fit
 
 
 def tiny_instance(seed, num_items=12, hidden=8, latent=4):
