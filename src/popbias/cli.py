@@ -85,7 +85,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    dataset = ingest_interactions(args.data, args.groups)
+    dataset = ingest_interactions(args.data)
     split = split_mask(dataset, args.fraction, args.seed)
     out = Path(args.out)
     train_path = out / "train.tsv"
@@ -102,23 +102,22 @@ def _cmd_split(args) -> int:
 
 def _cmd_tune(args) -> int:
     config = _load_config(args)
+    tuned = [spec for spec in config.models if spec.grid is not None]
+    if not tuned:
+        print("no model in the config declares a tuning grid", file=sys.stderr)
+        return 0
     if args.out:
         check_writable_dir(args.out)
     dataset = _load_dataset(config)
     split = split_mask(dataset, config.holdout_fraction, config.split_seed)
     results = {}
-    for spec in config.models:
-        if spec.grid is None:
-            continue
+    for spec in tuned:
         best, log = tune(spec.name, spec.grid, split.train, config.tune_seed, config.ap_k)
         results[spec.name] = {"best": best, "log": log}
         print(f"{spec.name}\tbest: {json.dumps(best, sort_keys=True)}")
         for entry in log:
             score = "failed" if entry["mean_ap"] is None else f"{entry['mean_ap']:.6f}"
             print(f"  {json.dumps(entry['hyperparams'], sort_keys=True)}\t{score}")
-    if not results:
-        print("no model in the config declares a tuning grid", file=sys.stderr)
-        return 0
     if args.out:
         path = write_lines(Path(args.out) / "tuning.json",
                            [json.dumps(results, indent=2, sort_keys=True)])
@@ -146,7 +145,7 @@ def _cmd_gapcalc(args) -> int:
 
 
 def _cmd_tailplot(args) -> int:
-    dataset = ingest_interactions(args.data, args.groups)
+    dataset = ingest_interactions(args.data)
     stats, paths = emit_tail_plot_data(dataset, args.out)
     print(f"artists\t{stats.num_artists}")
     print(f"coverage@0.05\t{stats.coverage_at(0.05):.4f}")
@@ -182,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="mask a per-user holdout from a dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--groups")
     p.add_argument("--fraction", type=ascii_float, default=0.2)
     p.add_argument("--seed", type=ascii_int, default=0)
     p.add_argument("--out", required=True, help="output directory")
@@ -207,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tailplot", help="export long-tail plot data")
     p.add_argument("--data", required=True)
-    p.add_argument("--groups")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_tailplot)
     return parser

@@ -103,12 +103,6 @@ class InteractionDataset:
             and (self.counts != other.counts).nnz == 0
         )
 
-    def __repr__(self):
-        return (
-            f"InteractionDataset(users={self.num_users}, artists={self.num_artists}, "
-            f"pairs={self.num_pairs}, groups={'yes' if self.group_labels else 'no'})"
-        )
-
 
 @dataclass
 class SplitDataset:

@@ -203,6 +203,11 @@ class ExperimentConfig:
             # the file would never be opened: synthetic users get mainstream groups
             raise ValidationError("config dataset.groups is read only with "
                                   "dataset.interactions, not with dataset.synthetic")
+        # every derived seed (seed + 101 * (position + 1), tune_seed) is then >= 0
+        for key, value in (("seed", self.seed), ("dataset.seed", self.dataset_seed),
+                           ("split.seed", self.split_seed), ("tune_seed", self.tune_seed)):
+            if value < 0:
+                raise ValidationError(f"config {key} must be >= 0, got {value}")
         if not 0 < self.holdout_fraction < 1:
             raise ValidationError("split fraction must be in (0, 1)")
         if self.top_n < 1:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -292,16 +292,14 @@ class GapcalcReport:
     def get(self, service: str, group: str, measure: str) -> GapEntry:
         return self.entries[(service, group, measure)]
 
+    # kv names of GapEntry's fields after its (service, group, measure) key
+    _METRICS = ("users", "gap_p", "gap_r", "delta_gap", "t_stat", "p_value")
+
     def to_kv_lines(self) -> list[str]:
         lines = []
         for (service, group, measure), e in self.entries.items():
-            prefix = f"{service}.{group}.{measure}"
-            lines.append(f"users.{prefix}={e.n_users:.6f}")
-            lines.append(f"gap_p.{prefix}={e.gap_p:.6f}")
-            lines.append(f"gap_r.{prefix}={e.gap_r:.6f}")
-            lines.append(f"delta_gap.{prefix}={e.delta_gap:.6f}")
-            lines.append(f"t_stat.{prefix}={e.t_stat:.6f}")
-            lines.append(f"p_value.{prefix}={e.p_value:.6f}")
+            for metric, value in zip(self._METRICS, astuple(e)[3:]):
+                lines.append(f"{metric}.{service}.{group}.{measure}={value:.6f}")
         return lines
 
     def to_text(self) -> str:

@@ -173,7 +173,7 @@ class WrmfRecommender(RecommenderModel):
         d = self.factors
         require_memory(8 * (d * (train.num_users + train.num_artists) + d * d
                             + 4 * train.num_pairs), f"WRMF with {d} factors")
-        counts = train.counts.astype(np.float64).tocsr()
+        counts = train.counts
         counts_t = counts.T.tocsr()
         by_user = _confidences(counts, self.alpha, self.confidence)
         by_item = _confidences(counts_t, self.alpha, self.confidence)

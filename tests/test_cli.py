@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import popbias.harness.experiment
 from popbias.cli import main
 from popbias.corpus import ingest_interactions
-from popbias.models import PopularityRecommender
+from popbias.models import PopularityRecommender, SlimRecommender, WrmfRecommender
 
 from test_gapcalc import HEADER
 
@@ -172,6 +173,17 @@ def test_run_seed_override_changes_hash(tmp_path):
     assert kv1 != kv2
 
 
+def test_run_negative_seed_exits_2_before_any_fit(tmp_path, capsys, monkeypatch):
+    # WRMF's derived seed would be -250 + 202, after SLIM was fitted and evaluated
+    fits = []
+    for model in (SlimRecommender, WrmfRecommender):
+        monkeypatch.setattr(model, "fit", lambda self, train: fits.append(self))
+    config = run_config(tmp_path, ["slim", "wrmf"])
+    assert main(["run", "--config", str(config), "--seed", "-250"]) == 2
+    assert capsys.readouterr().err == "error: config seed must be >= 0, got -250\n"
+    assert fits == []
+
+
 def test_run_bad_config_exits_2(tmp_path, capsys):
     config = write(tmp_path / "c.json", json.dumps({"models": []}))
     assert main(["run", "--config", str(config)]) == 2
@@ -230,6 +242,31 @@ def test_tune_command(tmp_path, capsys):
     saved = json.loads((out / "tuning.json").read_text())
     assert "wrmf" in saved
     assert len(saved["wrmf"]["log"]) == 2
+
+
+def test_tune_without_grid_reads_no_data(tmp_path, capsys, monkeypatch):
+    def loader(*args):
+        raise AssertionError("tune loaded the dataset")
+    for name in ("ingest_interactions", "generate_synthetic"):
+        monkeypatch.setattr(popbias.harness.experiment, name, loader)
+    config = run_config(tmp_path, ["popularity", {"name": "wrmf"}])
+    assert main(["tune", "--config", str(config)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "no model in the config declares a tuning grid\n"
+
+
+@pytest.mark.parametrize("command", ["split", "tailplot"])
+def test_split_and_tailplot_take_no_groups(tmp_path, data_file, capsys, command):
+    groups = write(tmp_path / "groups.tsv", "u1\tlow\nu2\tmedium\nu3\thigh\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--data", str(data_file), "--groups", str(groups),
+              "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: popbias ")
+    assert f"popbias: error: unrecognized arguments: --groups {groups}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def records_file(tmp_path):

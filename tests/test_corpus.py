@@ -188,6 +188,22 @@ class TestDatasetInvariants:
         with pytest.raises(ValidationError):
             make_dataset([[1, -2]])
 
+    @pytest.mark.parametrize("users, artists, counts, labels, message", [
+        (["u"], ["a", "b"], [[1]], None,
+         r"matrix shape \(1, 1\) does not match 1 users x 2 artists"),
+        (["u"], ["a", "a"], [[1, 1]], None, "duplicate artist identifiers"),
+        (["u", "v"], ["a"], [[1], [1]], ["low"], "group labels do not cover every user"),
+        (["u"], ["a"], [[1]], ["mid"], r"unknown group labels: \['mid'\]"),
+    ], ids=["shape", "duplicate-artists", "label-count", "unknown-label"])
+    def test_inconsistent_parts_rejected(self, users, artists, counts, labels, message):
+        with pytest.raises(ValidationError, match=message):
+            InteractionDataset(users, artists, np.array(counts), labels)
+
+    def test_writing_groups_needs_labels(self, tmp_path):
+        with pytest.raises(ValidationError, match="dataset has no group labels to write"):
+            write_interactions(make_dataset([[1]]), tmp_path / "d.tsv", tmp_path / "g.tsv")
+        assert list(tmp_path.iterdir()) == []
+
 
 interaction_records = st.lists(
     st.tuples(
@@ -230,6 +246,10 @@ class TestPopularity:
         ds = make_dataset([[1, 1], [1, 0], [1, 0], [1, 0]])
         pop = compute_popularity(ds)
         assert pop[1] == 0.25
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValidationError, match="cannot compute popularity of an empty"):
+            compute_popularity(make_dataset(np.zeros((0, 2), dtype=int)))
 
     def test_phi_is_a_float64_vector(self):
         phi = compute_popularity(make_dataset([[1, 1], [1, 0], [1, 0], [1, 0]]))
@@ -284,6 +304,11 @@ class TestMainstreamGroups:
         assert scores[0] == scores[1] < scores[2]
         labels = assign_mainstream_groups(ds, pop)
         assert labels == ["low", "medium", "high"]
+
+    def test_phi_of_another_catalogue_rejected(self):
+        ds = make_dataset([[1, 1, 0], [1, 0, 1]])
+        with pytest.raises(ValidationError, match="popularity table does not cover all artists"):
+            user_mainstreaminess(ds, np.zeros(ds.num_artists + 1))
 
 
 class TestSplitMask:
@@ -361,6 +386,11 @@ class TestTailStats:
         assert covs == sorted(covs)
         assert stats.coverage_curve[-1] == (1.0, pytest.approx(1.0))
 
+    def test_unsampled_fraction_rejected(self):
+        stats = long_tail_stats(make_dataset(np.ones((2, 4), dtype=int)))
+        with pytest.raises(ValidationError, match="not sampled at fraction 0.02"):
+            stats.coverage_at(0.02)
+
     def test_export(self, tmp_path):
         ds = make_dataset(np.ones((4, 20), dtype=int))
         out = tmp_path / "coverage.tsv"
@@ -397,6 +427,10 @@ class TestSynthetic:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             generate_synthetic(SyntheticConfig(num_users=4, num_artists=10), seed=0)
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            generate_synthetic(
+                SyntheticConfig(num_users=3, num_artists=10, profile_size_range=(2, 5)), seed=-1
+            )
         with pytest.raises(ValidationError):
             generate_synthetic(
                 SyntheticConfig(num_users=3, num_artists=10, zipf_exponent=0.0), seed=0

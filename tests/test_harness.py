@@ -203,6 +203,16 @@ class TestConfig:
         # SLIM's weights are always non-negative
         pytest.param(("models",), [{"name": "slim", "hyperparams": {"non_negative": False}}],
                      r"'models\[0\].hyperparams.non_negative'", id="slim-non-negative"),
+        pytest.param(("models",), [{"name": "wrmf", "grid": []}],
+                     "model 'wrmf' has an empty tuning grid", id="empty-grid"),
+        # a negative seed would reach a model as a negative derived seed, after earlier fits
+        pytest.param(("seed",), -250, "^config seed must be >= 0, got -250$", id="negative-seed"),
+        pytest.param(("dataset", "seed"), -1, r"^config dataset\.seed must be >= 0",
+                     id="negative-dataset-seed"),
+        pytest.param(("split", "seed"), -1, r"^config split\.seed must be >= 0",
+                     id="negative-split-seed"),
+        pytest.param(("tune_seed",), -1, "^config tune_seed must be >= 0",
+                     id="negative-tune-seed"),
     ])
     def test_wrong_types_and_names_rejected(self, path, value, message):
         raw = tiny_raw_config()
@@ -286,6 +296,16 @@ class TestTune:
                          ds, tune_seed=0)
         assert log[0]["error"] == "non-finite score for user 'u0'"
         assert best == {"epochs": 1}
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValidationError, match="tuning grid is empty"):
+            tune("wrmf", [], clique_dataset(), tune_seed=0)
+
+    def test_no_evaluable_inner_holdout_fails_the_point(self, caplog):
+        # single-artist users keep their artist in train, so no user has an inner holdout
+        with pytest.raises(TuningError, match="every grid point failed"):
+            tune("popularity", [{}], make_dataset(np.eye(4, dtype=int)), tune_seed=0)
+        assert "no user had an evaluable inner holdout" in caplog.text
 
     def test_all_failed_raises_tuning_error(self):
         ds = clique_dataset()

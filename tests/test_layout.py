@@ -3,13 +3,16 @@ open, create or write files; every other module calls them.  The session
 analysis in ``harness/gapcalc.py`` reads and writes through ``corpus``, not
 through the experiment harness, and imports no learner.  ``metrics.py`` takes
 popularity as a plain φ vector and imports nothing from popbias but its
-errors.  Entry points that only tests call live in ``tests/``, not ``src/``."""
+errors.  Entry points that only tests call live in ``tests/``, not ``src/``.
+Each subcommand takes only the options it reads."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import popbias.models
+from popbias.cli import build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "popbias"
 FILE_ACCESS = re.compile(r"open\(|\.read_text\(|\.write_text\(|\.mkdir\(")
@@ -80,6 +83,23 @@ def test_models_export_no_test_only_entry_point():
             hits.extend(f"{path.relative_to(SRC)}:{node.lineno}: {name}"
                         for name in names if name in moved)
     assert not hits, "test-only entry points defined under src/:\n" + "\n".join(hits)
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    (sub,) = [action for action in build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    options = {name: sorted(action.dest for action in parser._actions if action.dest != "help")
+               for name, parser in sub.choices.items()}
+    assert options == {
+        "ingest": ["data", "groups", "out"],
+        "synth": ["artists", "exponent", "mix", "out", "profile_max", "profile_min", "seed",
+                  "users"],
+        "split": ["data", "fraction", "out", "seed"],
+        "tune": ["config", "out", "seed"],
+        "run": ["config", "out", "seed"],
+        "gapcalc": ["out", "records"],
+        "tailplot": ["data", "out"],
+    }
 
 
 def test_metrics_imports_only_errors_from_popbias():

@@ -51,6 +51,10 @@ class TestPopularityModel:
         with pytest.raises(ValidationError):
             PopularityRecommender(weighting="downloads")
 
+    def test_scoring_before_fit_rejected(self):
+        with pytest.raises(ValidationError, match="PopularityRecommender is not fitted"):
+            PopularityRecommender().score_user(0)
+
 
 class TestRandomModel:
     def test_deterministic_per_seed_and_user(self):
@@ -69,6 +73,10 @@ class TestRandomModel:
         ds = make_dataset(np.ones((1, 10), dtype=int))
         model = RandomRecommender(seed=4).fit(ds)
         assert sorted(model.score_user(0).tolist()) == list(map(float, range(10)))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            RandomRecommender(seed=-1)
 
 
 # few distinct values, so most vectors have runs of ties

@@ -186,11 +186,16 @@ class TestFit:
             assert a.params_[key].tobytes() == b.params_[key].tobytes()
 
     def test_hyperparam_validation(self):
-        for bad in (
-            dict(latent_dim=0), dict(beta_max=1.5), dict(epochs=0),
-            dict(learning_rate=0.0), dict(dropout_keep=0.0),
+        for bad, message in (
+            (dict(latent_dim=0), "latent_dim and hidden_dim must be >= 1"),
+            (dict(beta_max=1.5), "beta_max must be in"),
+            (dict(anneal_steps=-1), "anneal_steps must be >= 0"),
+            (dict(epochs=0), "epochs and batch_size must be >= 1"),
+            (dict(learning_rate=0.0), "learning_rate must be > 0"),
+            (dict(dropout_keep=0.0), "dropout_keep must be in"),
+            (dict(init_seed=-1), "init_seed must be a non-negative integer"),
         ):
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError, match=message):
                 MultiVaeRecommender(**bad)
 
 

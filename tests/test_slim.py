@@ -184,6 +184,8 @@ class TestFit:
     def test_hyperparam_validation(self):
         with pytest.raises(ValidationError):
             SlimRecommender(l1_penalty=-1)
+        with pytest.raises(ValidationError, match="max_iters must be >= 1"):
+            SlimRecommender(max_iters=0)
         with pytest.raises(ValidationError):
             SlimRecommender(tolerance=0)
 

@@ -203,11 +203,15 @@ class TestFit:
         assert np.all(np.isfinite(model.score_user(0)))
 
     def test_hyperparam_validation(self):
-        for bad in (
-            dict(factors=0), dict(alpha=0.0), dict(ridge=0.0),
-            dict(sweeps=0), dict(confidence="quadratic"),
+        for bad, message in (
+            (dict(factors=0), "factors must be >= 1"),
+            (dict(alpha=0.0), "alpha must be > 0"),
+            (dict(ridge=0.0), "ridge must be > 0"),
+            (dict(sweeps=0), "sweeps must be >= 1"),
+            (dict(confidence="quadratic"), "confidence must be one of"),
+            (dict(init_seed=-1), "init_seed must be a non-negative integer"),
         ):
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError, match=message):
                 WrmfRecommender(**bad)
 
 
