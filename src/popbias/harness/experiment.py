@@ -234,6 +234,10 @@ class ExperimentConfig:
         _check_config(raw, _CONFIG_SCHEMA)
         seed = raw.get("seed", 0)
         dataset = raw.get("dataset", {})
+        if dataset.get("interactions") is not None and "seed" in dataset:
+            # only the synthetic generator draws from it
+            raise ValidationError("config dataset.seed is read only with "
+                                  "dataset.synthetic, not with dataset.interactions")
         synthetic = None
         if "synthetic" in dataset:
             syn = {k: tuple(v) if isinstance(v, list) else v

@@ -9,7 +9,7 @@ from .base import (
 )
 from .multivae import MultiVaeRecommender, kl_gaussian
 from .slim import SlimRecommender
-from .wrmf import WrmfRecommender, solve_factors, wrmf_objective
+from .wrmf import WrmfRecommender, wrmf_objective
 
 __all__ = [
     "MultiVaeRecommender",
@@ -21,6 +21,5 @@ __all__ = [
     "kl_gaussian",
     "positive_ranks",
     "rank_candidates",
-    "solve_factors",
     "wrmf_objective",
 ]

@@ -51,14 +51,95 @@ def kl_gaussian(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(mu**2 + np.exp(logvar) - logvar - 1.0, axis=1)
 
 
-def _forward_loss(params, target, fed, eps, beta, logits, ex):
+class _SparseRows:
+    """A batch's binarized, L2-normalized rows, held as their non-zeros.
+
+    Row k is ``value[k] = 1 / sqrt(count[k])`` at each of its ``count[k]``
+    listened artists and +0.0 elsewhere; ``nz`` holds the flat positions of
+    those entries in the (C-contiguous) batch x n block, row by row, as int32
+    where they fit.  After ``drop``, the encoder sees
+    ``value[k] * kept / keep_prob`` at each entry, which is the reference's
+    ``target * mask / keep_prob`` there, and +0.0 elsewhere.
+
+    Every pass over the entries goes span by span, a span being consecutive
+    rows with at most n entries together (or one row), so no temporary is
+    larger than a few rows of the block; realistic batches are one span.
+    """
+
+    def __init__(self, train: InteractionDataset, users, n: int):
+        indptr = train.counts.indptr
+        lo = indptr[users]
+        self.count = indptr[users + 1] - lo
+        self.value = 1.0 / np.sqrt(self.count)
+        ends = np.cumsum(self.count)
+        self._spans, a = [], 0
+        while a < len(users):
+            begin = ends[a] - self.count[a]
+            c = max(a + 1, int(np.searchsorted(ends, begin + n, "right")))
+            self._spans.append((slice(int(begin), int(ends[c - 1])), slice(a, c)))
+            a = c
+        self.nz = np.empty(int(ends[-1]), np.int32 if len(users) * n < 2**31 else np.int64)
+        for entries, rows in self._spans:
+            count = self.count[rows]
+            # each entry's position in train.counts.indices, then in the block
+            at = np.repeat(lo[rows] - ends[rows] + count, count)
+            at += np.arange(entries.start, entries.stop)
+            pos = np.repeat(np.arange(rows.start, rows.stop) * n, count)
+            pos += train.counts.indices[at]
+            self.nz[entries] = pos
+        self.kept = None
+        self.keep_prob = 1.0
+
+    def _values(self, rows):
+        return np.repeat(self.value[rows], self.count[rows])
+
+    def drop(self, uniforms: np.ndarray, keep_prob: float) -> None:
+        """Keep the entries whose draw in ``uniforms`` (batch x n) is below ``keep_prob``."""
+        flat = uniforms.reshape(-1)
+        self.kept = np.empty(self.nz.size, dtype=bool)
+        for entries, _ in self._spans:
+            np.less(flat[self.nz[entries]], keep_prob, out=self.kept[entries])
+        self.keep_prob = keep_prob
+
+    def write_target(self, out: np.ndarray) -> None:
+        """Overwrite ``out`` (batch x n) with the target rows."""
+        out.fill(0.0)
+        flat = out.reshape(-1)
+        for entries, rows in self._spans:
+            flat[self.nz[entries]] = self._values(rows)
+
+    def write_input(self, out: np.ndarray) -> None:
+        """Overwrite ``out`` (batch x n) with the encoder's input rows."""
+        if self.kept is None:
+            self.write_target(out)
+            return
+        out.fill(0.0)
+        flat = out.reshape(-1)
+        for entries, rows in self._spans:
+            fed = self._values(rows)
+            fed *= self.kept[entries]
+            fed /= self.keep_prob
+            flat[self.nz[entries]] = fed
+
+    def subtract_target(self, out: np.ndarray) -> None:
+        """``out -= target`` at the non-zeros: x - (+0.0) is x everywhere else."""
+        flat = out.reshape(-1)
+        for entries, rows in self._spans:
+            flat[self.nz[entries]] -= self._values(rows)
+
+
+def _forward_loss(params, rows, eps, beta, logits, ex):
     """Per-row (total, nll, kl) and the activations; log-probabilities left in ``logits``.
 
-    ``fed`` feeds the encoder (it may be a dropped-out copy of ``target``);
-    the multinomial term always reconstructs ``target``.  The batch x n
-    results go into ``logits`` and the scratch ``ex``, never a new array.
+    ``rows`` writes the encoder's input (which may be a dropped-out copy of
+    the target) and the target, the rows the multinomial term reconstructs.
+    The batch x n results go into ``logits`` and the scratch ``ex``, never a
+    new array: the input goes into ``logits`` and is read before the decoder
+    overwrites it, and the target goes into ``ex`` once the softmax is done
+    with it.  The last activation is the target's per-row sum.
     """
-    h1 = np.tanh(fed @ params["w_enc"].T + params["b_enc"])
+    rows.write_input(logits)
+    h1 = np.tanh(logits @ params["w_enc"].T + params["b_enc"])
     mu = h1 @ params["w_mu"].T + params["b_mu"]
     logvar = h1 @ params["w_logvar"].T + params["b_logvar"]
     z = mu + np.exp(0.5 * logvar) * eps
@@ -68,25 +149,30 @@ def _forward_loss(params, target, fed, eps, beta, logits, ex):
     logits -= logits.max(axis=1, keepdims=True)
     np.exp(logits, out=ex)
     logits -= np.log(ex.sum(axis=1, keepdims=True))
-    nll_rows = -np.sum(np.multiply(target, logits, out=ex), axis=1)
+    rows.write_target(ex)
+    # summed over the dense row, so in the reference's pairwise order
+    weight_rows = ex.sum(axis=1, keepdims=True)
+    ex *= logits  # target * log_probs: IEEE multiplication is commutative
+    nll_rows = -np.sum(ex, axis=1)
     kl_rows = kl_gaussian(mu, logvar)
-    return (nll_rows + beta * kl_rows, nll_rows, kl_rows), (h1, mu, logvar, z, h2)
+    return (nll_rows + beta * kl_rows, nll_rows, kl_rows), (h1, mu, logvar, z, h2, weight_rows)
 
 
-def _backward(params, acts, target, fed, eps, beta, log_probs, ex, grad, emit):
+def _backward(params, acts, rows, eps, beta, log_probs, ex, grad, emit):
     """Hand each parameter's batch-summed gradient to ``emit(key, g)`` as it is made.
 
-    ``ex`` ends up holding the logit gradient.  ``grad`` (n * h floats) holds
-    ``w_out``'s gradient and then ``w_enc``'s, so ``emit`` must be done with
-    the first before the second is written.  ``w_out`` is read only before it
-    is emitted, so ``emit`` may update it in place.
+    ``ex`` ends up holding the logit gradient.  ``log_probs`` is dead once
+    exponentiated, so it takes the encoder's input again for ``w_enc``'s
+    gradient.  ``grad`` (n * h floats) holds ``w_out``'s gradient and then
+    ``w_enc``'s, so ``emit`` must be done with the first before the second is
+    written.  ``w_out`` is read only before it is emitted, so ``emit`` may
+    update it in place.
     """
-    h1, mu, logvar, z, h2 = acts
-    n, h = target.shape[1], h1.shape[1]
-    weight_rows = target.sum(axis=1, keepdims=True)
+    h1, mu, logvar, z, h2, weight_rows = acts
+    n, h = log_probs.shape[1], h1.shape[1]
     np.exp(log_probs, out=ex)
     ex *= weight_rows
-    ex -= target
+    rows.subtract_target(ex)
     g_w_out = np.matmul(ex.T, h2, out=grad.reshape(n, h))
     g_b_out = ex.sum(axis=0)
     d_h2 = ex @ params["w_out"]
@@ -104,7 +190,8 @@ def _backward(params, acts, target, fed, eps, beta, log_probs, ex, grad, emit):
     g_b_logvar = d_logvar.sum(axis=0)
     d_h1 = d_mu @ params["w_mu"] + d_logvar @ params["w_logvar"]
     d_a1 = d_h1 * (1.0 - h1**2)
-    g_w_enc = np.matmul(d_a1.T, fed, out=grad.reshape(h, n))
+    rows.write_input(log_probs)
+    g_w_enc = np.matmul(d_a1.T, log_probs, out=grad.reshape(h, n))
     g_b_enc = d_a1.sum(axis=0)
     for key, g in (
         ("w_enc", g_w_enc), ("b_enc", g_b_enc),
@@ -175,42 +262,32 @@ class MultiVaeRecommender(RecommenderModel):
         self.loss_curve_: list[float] = []
         self._train = None
 
-    @staticmethod
-    def _normalized_rows(train: InteractionDataset, users, out: np.ndarray) -> np.ndarray:
-        """Write the binarized, L2-normalized rows of ``users`` into ``out``."""
-        out.fill(0.0)
-        for k, u in enumerate(users):
-            prof = train.profile(u)
-            out[k, prof] = 1.0 / math.sqrt(len(prof))
-        return out
-
     def _beta_at(self, step: int) -> float:
         if self.anneal_steps == 0:
             return self.beta_max
         return self.beta_max * min(1.0, step / self.anneal_steps)
 
     def fit(self, train: InteractionDataset):
-        """SGD on batch-mean gradients; every batch x n array is allocated once.
+        """SGD on batch-mean gradients over two batch x n buffers allocated once.
 
-        Each step performs the same floating-point operations in the same
-        order as the allocating step kept in ``tests/multivae_reference.py``,
-        so parameters and loss curve match it byte for byte.
+        ``logits`` takes the dropout draw, then the encoder's input, then the
+        logits and log-probabilities; ``ex`` the softmax terms, the target
+        rows and the logit gradient.  The target stays sparse in between (see
+        ``_SparseRows``).  Each step performs the same floating-point
+        operations in the same order as the allocating step kept in
+        ``tests/multivae_reference.py``, so parameters and loss curve match it
+        byte for byte.
         """
         seq = np.random.SeedSequence(self.init_seed)
         init_rng, order_rng, noise_rng, drop_rng = map(np.random.default_rng, seq.spawn(4))
         n, h, k = train.num_artists, self.hidden_dim, self.latent_dim
         size = min(self.batch_size, train.num_users)
-        dropout = self.dropout_keep < 1.0
-        # parameters, one gradient shared by w_out and w_enc, and the batch's
-        # target, logits and scratch rows, plus the dropped-out input and its
-        # mask when dropout is on
+        # parameters, one gradient shared by w_out and w_enc, and the two
+        # batch x n buffers
         num_params = 2 * n * h + 3 * h * k + n + 2 * h + 2 * k
-        require_memory(8 * (num_params + n * h + (3 + dropout) * size * n) + dropout * size * n,
-                       f"Multi-VAE with hidden_dim {h}")
+        require_memory(8 * (num_params + n * h + 2 * size * n), f"Multi-VAE with hidden_dim {h}")
         params = init_params(n, h, k, init_rng)
-        target, logits, ex = (np.empty((size, n)) for _ in range(3))
-        fed = np.empty((size, n)) if dropout else target
-        mask = np.empty((size, n), dtype=bool) if dropout else None
+        logits, ex = np.empty((size, n)), np.empty((size, n))
         grad = np.empty(n * h)
         step = 0
         self.loss_curve_ = []
@@ -220,25 +297,23 @@ class MultiVaeRecommender(RecommenderModel):
             for bi, start in enumerate(range(0, train.num_users, self.batch_size)):
                 users = order[start : start + self.batch_size]
                 b = len(users)
-                x = self._normalized_rows(train, users, target[:b])
+                rows = _SparseRows(train, users, n)
                 eps = noise_rng.standard_normal((b, k))
-                x_in = fed[:b]
-                if dropout:
-                    drop_rng.random(out=x_in)
-                    np.less(x_in, self.dropout_keep, out=mask[:b])
-                    np.multiply(x, mask[:b], out=x_in)
-                    x_in /= self.dropout_keep
+                if self.dropout_keep < 1.0:
+                    drop_rng.random(out=logits[:b])
+                    rows.drop(logits[:b], self.dropout_keep)
                 beta = self._beta_at(step)
                 # an overflow shows up as a non-finite loss, reported below
                 with np.errstate(over="ignore", invalid="ignore"):
-                    rows, acts = _forward_loss(params, x, x_in, eps, beta, logits[:b], ex[:b])
-                    total = float(rows[0].mean())
+                    losses, acts = _forward_loss(params, rows, eps, beta, logits[:b], ex[:b])
+                    total = float(losses[0].mean())
                     if not math.isfinite(total):
                         raise NumericalError(f"non-finite loss at epoch {epoch}, batch {bi}")
-                    _backward(params, acts, x, x_in, eps, beta, logits[:b], ex[:b], grad,
+                    _backward(params, acts, rows, eps, beta, logits[:b], ex[:b], grad,
                               functools.partial(_sgd, params, b, self.learning_rate))
                 step += 1
                 epoch_losses.append(total)
+                del rows  # the next batch's non-zeros are built without this batch's
             self.loss_curve_.append(float(np.mean(epoch_losses)))
         self.params_ = params
         self.num_artists_ = train.num_artists
@@ -247,7 +322,9 @@ class MultiVaeRecommender(RecommenderModel):
 
     def score_user(self, user: int) -> np.ndarray:
         self._require_fitted()
-        x = self._normalized_rows(self._train, [user], np.empty((1, self.num_artists_)))
+        x = np.zeros((1, self.num_artists_))
+        prof = self._train.profile(user)
+        x[0, prof] = 1.0 / math.sqrt(len(prof))
         # huge but finite parameters overflow here; evaluation rejects the scores
         with np.errstate(over="ignore", invalid="ignore"):
             h1 = np.tanh(x @ self.params_["w_enc"].T + self.params_["b_enc"])

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..corpus import InteractionDataset
+from ..corpus import InteractionDataset, require_memory
 from ..errors import NumericalError, ValidationError
 from .base import RecommenderModel
 
@@ -48,6 +48,11 @@ def _candidate_pattern(mat):
     return indptr, cols, np.delete(gram.data, diagonal), gram.diagonal(), neighbour
 
 
+# Bytes the fit holds per entry of the gram's pattern at its peak, in the
+# descent: cols (4), corr (8), flip (4), w (8) and partial (8), plus a sweep's
+# visit gather (5).  Measured at the real catalogue width, the peak is 39-42
+# bytes per entry, the run lookup and the per-artist arrays included.
+_GRAM_ENTRY_BYTES = 40
 # Fixed budgets that bound a step's temporaries whatever the run length or the
 # number of columns that move at once.
 _LOOKUP_BYTES = 8 * 2**20  # rows of G held for one run's rank-1 updates
@@ -239,6 +244,11 @@ class SlimRecommender(RecommenderModel):
         """
         mat = self._transform(train)
         num_artists = train.num_artists
+        # each user's row adds at most len^2 entries to the gram, so this
+        # bounds its pattern before the product runs
+        sizes = np.diff(mat.indptr).astype(np.int64)
+        require_memory(_GRAM_ENTRY_BYTES * int(sizes @ sizes),
+                       f"SLIM over {train.num_users} users x {num_artists} artists")
         indptr, cols, corr, col_norms, neighbour = _candidate_pattern(mat)
         w, self.sweeps_, self.steps_ = _coordinate_descent(
             indptr, cols, corr, col_norms, neighbour, self.l1_penalty, self.l2_penalty,

@@ -77,22 +77,6 @@ def _solve_rows(mat, other, ridge, extra, conf):
     return out
 
 
-def solve_factors(
-    mat: sp.csr_matrix,
-    other: np.ndarray,
-    alpha: float,
-    ridge: float,
-    confidence: str = "linear",
-) -> np.ndarray:
-    """Exact conditional minimizers for one side of the factorization.
-
-    ``mat`` has one row per entity being solved (users, or the transposed
-    matrix for items); ``other`` is the fixed opposite factor matrix.  Rows
-    with no observations come out exactly zero, which is their minimizer.
-    """
-    return _solve_rows(mat, other, ridge, *_confidences(mat, alpha, confidence))
-
-
 def wrmf_objective(
     train: InteractionDataset,
     user_factors: np.ndarray,

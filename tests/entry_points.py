@@ -1,35 +1,56 @@
-"""Entry points only the tests call: Multi-VAE's loss and gradient, and top-N.
+"""Entry points only the tests call: Multi-VAE's loss and gradient, WRMF's
+one-side solve, and top-N.
 
 ``elbo_loss`` and ``gradient`` are the finite-difference oracle's entry
 points.  They wrap the library's ``_forward_loss`` and ``_backward``, the
 step ``MultiVaeRecommender.fit`` runs, so the oracle checks that step
-itself.  ``recommend_top_n`` is ``rank_candidates`` with ``n`` over one
-user's scores, their training profile excluded.
+itself; only the batch rows are handed over dense.  ``solve_factors`` is
+WRMF's ``_solve_rows`` with the confidences ``fit`` uses.
+``recommend_top_n`` is ``rank_candidates`` with ``n`` over one user's
+scores, their training profile excluded.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from popbias.corpus import InteractionDataset
 from popbias.errors import ValidationError
 from popbias.models.base import RecommenderModel, rank_candidates
 from popbias.models.multivae import _backward, _forward_loss
+from popbias.models.wrmf import _confidences, _solve_rows
+
+
+class _DenseRows:
+    """Dense target and input rows behind the batch interface ``_forward_loss`` reads."""
+
+    def __init__(self, target, fed):
+        self.target, self.fed = target, fed
+
+    def write_target(self, out):
+        np.copyto(out, self.target)
+
+    def write_input(self, out):
+        np.copyto(out, self.fed)
+
+    def subtract_target(self, out):
+        out -= self.target
 
 
 def _batch_loss_and_grads(params, X_target, X_input, eps, beta):
     """Mean (total, nll, kl) over the batch and the mean gradient of every parameter."""
     batch, n = X_target.shape
     logits, ex = np.empty((batch, n)), np.empty((batch, n))
-    rows, acts = _forward_loss(params, X_target, X_input, eps, beta, logits, ex)
+    rows = _DenseRows(X_target, X_input)
+    losses, acts = _forward_loss(params, rows, eps, beta, logits, ex)
     grads = {}
 
     def keep(key, g):
         grads[key] = g / batch
 
-    _backward(params, acts, X_target, X_input, eps, beta, logits, ex,
-              np.empty(params["w_out"].size), keep)
-    return tuple(float(r.mean()) for r in rows), grads
+    _backward(params, acts, rows, eps, beta, logits, ex, np.empty(params["w_out"].size), keep)
+    return tuple(float(r.mean()) for r in losses), grads
 
 
 def elbo_loss(x, params, z_noise, beta) -> tuple[float, float, float]:
@@ -43,9 +64,9 @@ def elbo_loss(x, params, z_noise, beta) -> tuple[float, float, float]:
     if z_noise.shape != (params["w_mu"].shape[0],):
         raise ValidationError("noise draw does not match the latent width")
     x = x[None, :]
-    rows, _ = _forward_loss(params, x, x, z_noise[None, :], beta,
-                            np.empty_like(x), np.empty_like(x))
-    return tuple(float(r[0]) for r in rows)
+    losses, _ = _forward_loss(params, _DenseRows(x, x), z_noise[None, :], beta,
+                              np.empty_like(x), np.empty_like(x))
+    return tuple(float(r[0]) for r in losses)
 
 
 def gradient(x, params, z_noise, beta) -> dict:
@@ -56,6 +77,22 @@ def gradient(x, params, z_noise, beta) -> dict:
     z_noise = np.asarray(z_noise, dtype=np.float64)[None, :]
     _, grads = _batch_loss_and_grads(params, x, x, z_noise, beta)
     return grads
+
+
+def solve_factors(
+    mat: sp.csr_matrix,
+    other: np.ndarray,
+    alpha: float,
+    ridge: float,
+    confidence: str = "linear",
+) -> np.ndarray:
+    """Exact conditional minimizers for one side of the factorization.
+
+    ``mat`` has one row per entity being solved (users, or the transposed
+    matrix for items); ``other`` is the fixed opposite factor matrix.  Rows
+    with no observations come out exactly zero, which is their minimizer.
+    """
+    return _solve_rows(mat, other, ridge, *_confidences(mat, alpha, confidence))
 
 
 def recommend_top_n(

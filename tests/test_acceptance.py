@@ -37,10 +37,9 @@ from popbias.models import (
     WrmfRecommender,
 )
 from popbias.models.multivae import kl_gaussian
-from popbias.models.wrmf import solve_factors
 
 from conftest import OracleModel, make_dataset, random_dataset
-from entry_points import elbo_loss, gradient, recommend_top_n
+from entry_points import elbo_loss, gradient, recommend_top_n, solve_factors
 from multivae_reference import PARAM_KEYS
 from test_gapcalc import (
     HEADER,

@@ -213,6 +213,10 @@ class TestConfig:
                      id="negative-split-seed"),
         pytest.param(("tune_seed",), -1, "^config tune_seed must be >= 0",
                      id="negative-tune-seed"),
+        # an interactions file is read, never generated, so no draw reads the seed
+        pytest.param(("dataset",), {"interactions": "plays.tsv", "seed": 2},
+                     r"^config dataset\.seed is read only with dataset\.synthetic",
+                     id="dataset-seed-with-interactions"),
     ])
     def test_wrong_types_and_names_rejected(self, path, value, message):
         raw = tiny_raw_config()
@@ -227,6 +231,11 @@ class TestConfig:
         raw = tiny_raw_config()
         raw["dataset"]["groups"] = None
         assert ExperimentConfig.from_dict(raw).groups_path is None
+
+    def test_interactions_inherit_the_dataset_seed(self):
+        raw = tiny_raw_config()
+        raw["dataset"] = {"interactions": "plays.tsv"}
+        assert ExperimentConfig.from_dict(raw).dataset_seed == 5
 
     def test_numbers_accept_integers(self):
         raw = tiny_raw_config()

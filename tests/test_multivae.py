@@ -208,6 +208,9 @@ class TestMatchesReference:
         (2, 1.0, 7, 3),
         (3, 0.5, 3, 4),
         (4, 0.5, 0, 64),
+        # one user a batch, and a keep rate at which some fed rows are all zero
+        (6, 0.5, 0, 1),
+        (7, 0.05, 2, 4),
     ])
     def test_fit_params_and_loss_curve(self, seed, dropout_keep, anneal_steps, batch_size):
         # 11 users: every batch size leaves a short last batch
@@ -237,7 +240,7 @@ class TestMatchesReference:
 
 
 class TestFitMemory:
-    """``fit`` holds its parameters, one n x h gradient and its batch buffers, no more."""
+    """``fit`` holds its parameters, one n x h gradient and two batch x n buffers, no more."""
 
     @pytest.mark.parametrize("dropout_keep", [1.0, 0.5])
     def test_peak_is_the_state_fit_allocates_once(self, dropout_keep):
@@ -246,11 +249,10 @@ class TestFitMemory:
         kwargs = dict(latent_dim=k, hidden_dim=h, epochs=2, batch_size=batch,
                       dropout_keep=dropout_keep, init_seed=0)
         num_params = 2 * n * h + 3 * h * k + n + 2 * h + 2 * k
-        dropout = dropout_keep < 1.0
-        # target, logits and scratch rows, plus the dropped-out rows and their
-        # mask; the slack is half a batch x n float64 array, so one more such
-        # array made per step exceeds the bound
-        rows = 8 * (3 + dropout) * batch * n + dropout * batch * n
+        # the logits and scratch rows, with or without dropout; the slack is
+        # half a batch x n float64 array, so one more such array made per step
+        # exceeds the bound, and it holds the batch's non-zeros
+        rows = 8 * 2 * batch * n
         bound = 8 * (num_params + n * h) + rows + 4 * batch * n
 
         def peak(fit):

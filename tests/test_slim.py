@@ -170,6 +170,27 @@ class TestFit:
         assert np.isin(W.indices, listened).all()
         assert np.isin(np.flatnonzero(np.diff(W.indptr)), listened).all()
 
+    def test_gram_larger_than_memory_raises_before_the_product(self, monkeypatch):
+        ds = random_dataset(np.random.default_rng(31), num_users=20, num_artists=30)
+        sizes = np.diff(ds.counts.indptr)
+        need = 40 * int((sizes**2).sum())
+        calls, pattern = [], slim._candidate_pattern
+
+        def spy(mat):
+            calls.append(mat.shape)
+            return pattern(mat)
+
+        monkeypatch.setattr(slim, "_candidate_pattern", spy)
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}
+        monkeypatch.setattr("popbias.corpus.os.sysconf", pages.__getitem__)
+        with pytest.raises(NumericalError,
+                           match=f"SLIM over 20 users x 30 artists needs {need:,} bytes"):
+            SlimRecommender().fit(ds)
+        assert calls == []
+        pages["SC_PHYS_PAGES"] = need
+        SlimRecommender().fit(ds)
+        assert calls == [(20, 30)]
+
     def test_non_finite_update_raises_naming_column(self, monkeypatch):
         # column 1's tiny norm makes column 0's update overflow to inf
         ds = make_dataset([[1, 1]])

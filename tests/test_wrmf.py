@@ -4,9 +4,10 @@ import scipy.sparse as sp
 from pytest import approx
 
 from popbias.errors import NumericalError, ValidationError
-from popbias.models import WrmfRecommender, solve_factors, wrmf_objective
+from popbias.models import WrmfRecommender, wrmf_objective
 
 from conftest import make_dataset, random_dataset
+from entry_points import solve_factors
 from wrmf_reference import reference_factors, reference_solve_factors
 
 TOY_COUNTS = np.array([
