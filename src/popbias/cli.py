@@ -4,7 +4,8 @@ Subcommands: ingest, synth, split, tune, run, gapcalc, tailplot.  Numeric
 options take ASCII numbers without ``_``, as the input files do.  Exit codes:
 0 success; 2 validation/parse error, including an input that cannot be read
 or is not UTF-8 and an output path that cannot be written; 3 numerical or
-other processing error.
+other processing error.  Only ``tune`` and ``run`` import the experiment
+harness and, through it, the learners.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .corpus import (
     SyntheticConfig,
     ascii_float,
     ascii_int,
     check_writable_dir,
+    emit_tail_plot_data,
     generate_synthetic,
     ingest_interactions,
     long_tail_stats,
@@ -29,18 +32,16 @@ from .corpus import (
     write_lines,
 )
 from .errors import PopBiasError, ValidationError
-from .harness import (
-    ExperimentConfig,
-    emit_tail_plot_data,
-    gapcalc,
-    read_simulated_records,
-    run_experiment,
-    tune,
-)
-from .harness.experiment import _load_dataset
+# bound here, not in _cmd_gapcalc, so a caller can wrap them as cli attributes
+from .harness.gapcalc import gapcalc, read_simulated_records
+
+if TYPE_CHECKING:
+    from .harness.experiment import ExperimentConfig
 
 
 def _load_config(args) -> ExperimentConfig:
+    from .harness.experiment import ExperimentConfig
+
     try:
         raw = json.loads("".join(read_lines(args.config)))
     except (ValueError, RecursionError) as exc:
@@ -101,6 +102,8 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    from .harness.experiment import _load_dataset, tune
+
     config = _load_config(args)
     tuned = [spec for spec in config.models if spec.grid is not None]
     if not tuned:
@@ -126,6 +129,8 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .harness.experiment import run_experiment
+
     config = _load_config(args)
     report = run_experiment(config, out_dir=args.out)
     print(report.to_text())

@@ -1,4 +1,4 @@
-"""Interaction data: loading, popularity, user grouping, splitting, and synthesis.
+"""Interaction data: loading, popularity, grouping, splitting, synthesis, long-tail plots.
 
 The central object is :class:`InteractionDataset`, a sparse user-by-artist
 play-count matrix with stable identifier maps.  Everything downstream (models,
@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -323,9 +324,11 @@ def ingest_interactions(path, group_path=None) -> InteractionDataset:
     records are summed, and a sum that int64 cannot hold is rejected at its
     line.  Identifier maps are sorted, so the same records in any order give
     equal datasets.  When ``group_path`` is given it must assign one of
-    low/medium/high to every user in the interactions file.
+    low/medium/high to every user in the interactions file.  The pair keys
+    share one string per distinct identifier, not one per line.
     """
     by_pair: dict[tuple[str, str], int] = {}
+    names: dict[str, str] = {}
     records = _tsv_rows(path, 3, lambda fields: not _is_number(fields[2]))
     for lineno, (user_id, artist_id, count_str) in records:
         if not (count_str.isascii() and count_str.isdigit()):
@@ -339,7 +342,7 @@ def ingest_interactions(path, group_path=None) -> InteractionDataset:
         count = int(digits or "0")
         if count < 1:
             raise ValidationError(f"{path}: line {lineno}: count {count} < 1")
-        key = (user_id, artist_id)
+        key = (names.setdefault(user_id, user_id), names.setdefault(artist_id, artist_id))
         total = by_pair.get(key, 0) + count
         if total > _MAX_COUNT:
             raise ValidationError(
@@ -515,6 +518,17 @@ def long_tail_stats(dataset: InteractionDataset) -> TailStats:
         k = min(k, dataset.num_artists)
         curve.append((frac, float(cum[k - 1] / total)))
     return TailStats(num_artists=dataset.num_artists, coverage_curve=curve)
+
+
+def emit_tail_plot_data(dataset: InteractionDataset, out_dir):
+    """Write the popularity-by-rank series and the coverage curve as TSV files."""
+    phi = compute_popularity(dataset)
+    rank_path = write_lines(Path(out_dir) / "tail_rank_phi.tsv", chain(["# rank\tphi"], (
+        f"{rank}\t{value:.6f}" for rank, value in enumerate(np.sort(phi)[::-1], start=1)
+    )))
+    stats = long_tail_stats(dataset)
+    coverage_path = stats.write_coverage(Path(out_dir) / "tail_coverage.tsv")
+    return stats, (rank_path, coverage_path)
 
 
 def generate_synthetic(config: SyntheticConfig, seed: int) -> InteractionDataset:

@@ -19,7 +19,6 @@ import logging
 import math
 import sys
 from dataclasses import asdict, astuple, dataclass, field
-from itertools import chain
 from pathlib import Path
 from types import NoneType
 
@@ -37,7 +36,6 @@ from ..corpus import (
     compute_popularity,
     generate_synthetic,
     ingest_interactions,
-    long_tail_stats,
     split_mask,
     write_lines,
     write_report_files,
@@ -591,14 +589,3 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     if out_dir is not None:
         _stage("report", report.write, out_dir)
     return report
-
-
-def emit_tail_plot_data(dataset: InteractionDataset, out_dir):
-    """Write the popularity-by-rank series and the coverage curve as TSV files."""
-    phi = compute_popularity(dataset)
-    rank_path = write_lines(Path(out_dir) / "tail_rank_phi.tsv", chain(["# rank\tphi"], (
-        f"{rank}\t{value:.6f}" for rank, value in enumerate(np.sort(phi)[::-1], start=1)
-    )))
-    stats = long_tail_stats(dataset)
-    coverage_path = stats.write_coverage(Path(out_dir) / "tail_coverage.tsv")
-    return stats, (rank_path, coverage_path)

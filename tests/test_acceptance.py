@@ -21,13 +21,8 @@ from popbias.corpus import (
     long_tail_stats,
     split_mask,
 )
-from popbias.harness import (
-    ExperimentConfig,
-    evaluate_model,
-    gapcalc,
-    read_simulated_records,
-    run_experiment,
-)
+from popbias.harness.experiment import ExperimentConfig, evaluate_model, run_experiment
+from popbias.harness.gapcalc import gapcalc, read_simulated_records
 from popbias.metrics import RankedCandidates, auc, average_precision_at_k
 from popbias.models import (
     MultiVaeRecommender,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,24 @@ class TestIngest:
         write_lines(g, ["u1\tlow", "u2\thigh"])
         ds = ingest_interactions(f, g)
         assert ds.group_labels == ["low", "high"]
+
+    def test_repeated_identifiers_are_held_once(self, tmp_path):
+        # 10,000 records over 40 users and 250 artists: lengthening every
+        # identifier may raise the peak by the distinct identifiers' size,
+        # not by one copy of each identifier per record (about 10 MB here)
+        def peak(pad):
+            f = tmp_path / f"pad{pad}.tsv"
+            write_lines(f, (f"u{u:03d}{'x' * pad}\ta{a:03d}{'y' * pad}\t1"
+                            for u in range(40) for a in range(250)))
+            tracemalloc.start()
+            try:
+                ingest_interactions(f)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        pad = 500
+        assert peak(pad) - peak(0) < 4 * (40 + 250) * pad
 
 
 class TestDatasetInvariants:

@@ -15,8 +15,13 @@ from scipy import stats as scipy_stats
 from gapcalc_reference import reference_gapcalc, reference_read
 from popbias.corpus import GROUP_LABELS
 from popbias.errors import ParseError, PopBiasError, ValidationError
-from popbias.harness import gapcalc, read_simulated_records, welch_one_tailed
-from popbias.harness.gapcalc import EXPECTED_HEADER, ROLES
+from popbias.harness.gapcalc import (
+    EXPECTED_HEADER,
+    ROLES,
+    gapcalc,
+    read_simulated_records,
+    welch_one_tailed,
+)
 
 HEADER = ",".join(EXPECTED_HEADER)
 

@@ -13,12 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from popbias.harness import (
-    ExperimentConfig,
-    gapcalc,
-    read_simulated_records,
-    run_experiment,
-)
+from popbias.harness.experiment import ExperimentConfig, run_experiment
+from popbias.harness.gapcalc import gapcalc, read_simulated_records
 
 DATA = Path(__file__).parent / "data"
 

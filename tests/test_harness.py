@@ -17,22 +17,22 @@ from popbias.corpus import (
     SyntheticConfig,
     assign_mainstream_groups,
     compute_popularity,
+    emit_tail_plot_data,
     generate_synthetic,
     split_mask,
     user_mainstreaminess,
 )
 from popbias.errors import NumericalError, TuningError, ValidationError
-from popbias.harness import (
+from popbias.harness.experiment import (
     ExperimentConfig,
     ModelSpec,
+    _mean_ap,
     build_model,
     default_ap_k,
-    emit_tail_plot_data,
     evaluate_model,
     run_experiment,
     tune,
 )
-from popbias.harness.experiment import _mean_ap
 from popbias.metrics import gap
 from popbias.models import PopularityRecommender, WrmfRecommender
 

@@ -1,14 +1,20 @@
 """The file boundary: only ``corpus.read_lines`` and ``corpus.write_lines``
 open, create or write files; every other module calls them.  The session
 analysis in ``harness/gapcalc.py`` reads and writes through ``corpus``, not
-through the experiment harness, and imports no learner.  ``metrics.py`` takes
+through the experiment harness, and imports no learner; a fresh interpreter
+that imports it and runs ``gapcalc``, ``ingest``, ``split`` and ``tailplot``
+loads no learner, no experiment harness and no ``scipy.linalg``.  ``metrics.py`` takes
 popularity as a plain φ vector and imports nothing from popbias but its
 errors.  Entry points that only tests call live in ``tests/``, not ``src/``.
 Each subcommand takes only the options it reads."""
 
 import argparse
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import popbias.models
@@ -62,6 +68,39 @@ def test_gapcalc_imports_no_learner():
     hits = sorted(name for name in imported_names(SRC / "harness" / "gapcalc.py")
                   if any(name == b or name.startswith(f"{b}.") for b in banned))
     assert not hits, f"harness/gapcalc.py imports {hits}"
+
+
+# Runs each CLI argv given as JSON in argv[1] and prints the exit codes and
+# which of the modules that only ``run`` and ``tune`` need got loaded.
+NO_LEARNER_SCRIPT = """
+import contextlib, io, json, sys
+import popbias.harness.gapcalc
+from popbias import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+learner_side = ("popbias.models", "popbias.harness.experiment", "scipy.linalg")
+print(json.dumps([codes, [name for name in learner_side if name in sys.modules]]))
+"""
+
+
+def test_non_learner_subcommands_load_no_learner_in_a_fresh_interpreter(tmp_path):
+    data = tmp_path / "plays.tsv"
+    data.write_text("u1\ta1\t3\nu1\ta2\t1\nu2\ta1\t2\nu3\ta3\t5\nu3\ta1\t1\n",
+                    encoding="utf-8")
+    records = SRC.parents[1] / "tests" / "data" / "simulated_records.csv"
+    runs = [
+        ["gapcalc", "--records", str(records), "--out", str(tmp_path / "gap")],
+        ["ingest", "--data", str(data), "--out", str(tmp_path / "normalized.tsv")],
+        ["split", "--data", str(data), "--out", str(tmp_path / "split")],
+        ["tailplot", "--data", str(data), "--out", str(tmp_path / "tail")],
+    ]
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_LEARNER_SCRIPT, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0], []]
 
 
 def test_models_export_no_test_only_entry_point():
