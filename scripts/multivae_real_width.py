@@ -19,7 +19,7 @@ import resource
 import time
 
 from popbias.corpus import SyntheticConfig, generate_synthetic, split_mask
-from popbias.models import MultiVaeRecommender
+from popbias.models.multivae import MultiVaeRecommender
 
 
 def main():

@@ -18,7 +18,7 @@ import resource
 import time
 
 from popbias.corpus import SyntheticConfig, generate_synthetic, split_mask
-from popbias.models import SlimRecommender
+from popbias.models.slim import SlimRecommender
 
 
 def main():

@@ -1,22 +1,7 @@
-"""Implicit-feedback recommenders with accuracy and popularity-bias measurement."""
+"""Implicit-feedback recommenders with accuracy and popularity-bias measurement.
+
+Nothing is re-exported here: import each name from the module that defines
+it, such as the error classes from ``popbias.errors``.
+"""
 
 __version__ = "0.1.0"
-
-from .errors import (
-    NumericalError,
-    ParseError,
-    PopBiasError,
-    TuningError,
-    UndefinedMetricError,
-    ValidationError,
-)
-
-__all__ = [
-    "NumericalError",
-    "ParseError",
-    "PopBiasError",
-    "TuningError",
-    "UndefinedMetricError",
-    "ValidationError",
-    "__version__",
-]

@@ -42,8 +42,17 @@ if TYPE_CHECKING:
 def _load_config(args) -> ExperimentConfig:
     from .harness.experiment import ExperimentConfig
 
+    def unique_keys(pairs) -> dict:
+        # json.loads would keep the last of two equal keys in an object
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValidationError(f"{args.config}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        raw = json.loads("".join(read_lines(args.config)))
+        raw = json.loads("".join(read_lines(args.config)), object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:
         # json.JSONDecodeError is a ValueError; the decoder also raises a bare
         # ValueError for an integer past Python's int-string limit, and

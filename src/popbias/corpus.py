@@ -199,12 +199,13 @@ def _user_rng(seed: int, user: int) -> np.random.Generator:
 def read_lines(path, newline=None):
     """Yield the lines of a UTF-8 text file, each with its line ending.
 
-    ``newline`` is passed to ``open``.  An unreadable file raises
-    ``ValidationError`` and one that is not UTF-8 raises ``ParseError``; both
-    name the path.  Every input popbias reads goes through here.
+    A leading byte-order mark is dropped.  ``newline`` is passed to ``open``.
+    An unreadable file raises ``ValidationError`` and one that is not UTF-8
+    raises ``ParseError``; both name the path.  Every input popbias reads goes
+    through here.
     """
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield from fh
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc

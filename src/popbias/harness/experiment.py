@@ -52,26 +52,22 @@ from ..metrics import (  # noqa: F401
     gap,
     mean_with_stderr,
 )
-from ..models import (
-    MultiVaeRecommender,
+from ..models.base import (
     PopularityRecommender,
     RandomRecommender,
     RecommenderModel,
-    SlimRecommender,
-    WrmfRecommender,
     positive_ranks,
     rank_candidates,
 )
+from ..models.multivae import MultiVaeRecommender
+from ..models.slim import SlimRecommender
+from ..models.wrmf import WrmfRecommender
 
 _log = logging.getLogger(__name__)
 
-MODEL_FACTORIES = {
-    "popularity": PopularityRecommender,
-    "random": RandomRecommender,
-    "slim": SlimRecommender,
-    "wrmf": WrmfRecommender,
-    "multivae": MultiVaeRecommender,
-}
+MODEL_FACTORIES = {cls.model_type: cls for cls in (
+    PopularityRecommender, RandomRecommender, SlimRecommender, WrmfRecommender, MultiVaeRecommender,
+)}
 
 # Hyperparameter names that default to a config-derived seed when absent.
 _SEED_PARAM = {"random": "seed", "wrmf": "init_seed", "multivae": "init_seed"}
@@ -201,6 +197,8 @@ class ExperimentConfig:
             # the file would never be opened: synthetic users get mainstream groups
             raise ValidationError("config dataset.groups is read only with "
                                   "dataset.interactions, not with dataset.synthetic")
+        if self.synthetic is not None:
+            self.synthetic.validate()
         # every derived seed (seed + 101 * (position + 1), tune_seed) is then >= 0
         for key, value in (("seed", self.seed), ("dataset.seed", self.dataset_seed),
                            ("split.seed", self.split_seed), ("tune_seed", self.tune_seed)):

@@ -36,12 +36,8 @@ class RecommenderModel(abc.ABC):
     def score_user(self, user: int) -> np.ndarray:
         """Dense float64 score vector over all artists for one user."""
 
-    @property
-    def is_fitted(self) -> bool:
-        return getattr(self, "num_artists_", None) is not None
-
     def _require_fitted(self):
-        if not self.is_fitted:
+        if getattr(self, "num_artists_", None) is None:
             raise ValidationError(f"{type(self).__name__} is not fitted")
 
 

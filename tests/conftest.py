@@ -1,3 +1,5 @@
+import codecs
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from popbias.corpus import (
     generate_synthetic,
     split_mask,
 )
-from popbias.models import RecommenderModel
+from popbias.models.base import RecommenderModel
 
 
 def make_dataset(counts, groups=None):
@@ -18,6 +20,13 @@ def make_dataset(counts, groups=None):
     users = [f"u{i}" for i in range(counts.shape[0])]
     artists = [f"a{j:02d}" for j in range(counts.shape[1])]
     return InteractionDataset(users, artists, counts, groups)
+
+
+def bom_copy(path):
+    """A copy of ``path`` beside it, prefixed with a UTF-8 byte-order mark."""
+    copy = path.with_name(f"bom-{path.name}")
+    copy.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return copy
 
 
 def random_dataset(rng, num_users=None, num_artists=None, max_count=5):

@@ -24,14 +24,10 @@ from popbias.corpus import (
 from popbias.harness.experiment import ExperimentConfig, evaluate_model, run_experiment
 from popbias.harness.gapcalc import gapcalc, read_simulated_records
 from popbias.metrics import RankedCandidates, auc, average_precision_at_k
-from popbias.models import (
-    MultiVaeRecommender,
-    PopularityRecommender,
-    RandomRecommender,
-    SlimRecommender,
-    WrmfRecommender,
-)
-from popbias.models.multivae import kl_gaussian
+from popbias.models.base import PopularityRecommender, RandomRecommender
+from popbias.models.multivae import MultiVaeRecommender, kl_gaussian
+from popbias.models.slim import SlimRecommender
+from popbias.models.wrmf import WrmfRecommender
 
 from conftest import OracleModel, make_dataset, random_dataset
 from entry_points import elbo_loss, gradient, recommend_top_n, solve_factors

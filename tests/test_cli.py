@@ -10,8 +10,11 @@ import pytest
 import popbias.harness.experiment
 from popbias.cli import main
 from popbias.corpus import ingest_interactions
-from popbias.models import PopularityRecommender, SlimRecommender, WrmfRecommender
+from popbias.models.base import PopularityRecommender
+from popbias.models.slim import SlimRecommender
+from popbias.models.wrmf import WrmfRecommender
 
+from conftest import bom_copy
 from test_gapcalc import HEADER
 
 
@@ -398,6 +401,49 @@ def test_synth_catalogue_larger_than_memory_exits_3(tmp_path, capsys):
                      r"[\d,]+ bytes, more than the [\d,]+ bytes", err)
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "tune"])
+@pytest.mark.parametrize("old, new, key", [
+    ('"seed": 3', '"seed": 1, "seed": 3', "seed"),
+    ('"models": [', '"models": ["slim"], "models": [', "models"),
+    ('{"name": "wrmf"', '{"name": "slim", "name": "wrmf"', "name"),
+    ('"factors": 3', '"factors": 4, "factors": 3', "factors"),
+    ('"weighting": "plays"', '"weighting": "plays", "weighting": "listeners"', "weighting"),
+])
+def test_config_with_a_duplicate_key_exits_2(tmp_path, capsys, command, old, new, key):
+    config = run_config(tmp_path, [{"name": "wrmf", "grid": [{"factors": 2, "sweeps": 1},
+                                                             {"factors": 3, "sweeps": 1}]},
+                                   {"name": "popularity", "hyperparams": {"weighting": "plays"}}])
+    text = config.read_text()
+    assert text.count(old) == 1
+    write(config, text.replace(old, new))
+    assert main([command, "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {config}: duplicate key {key!r}\n"
+    assert captured.out == ""
+
+
+def test_config_with_a_leading_byte_order_mark_runs_as_without(tmp_path):
+    config = run_config(tmp_path, [{"name": "popularity"}])
+    reports = []
+    for path in (config, bom_copy(config)):
+        out = tmp_path / f"out-{path.stem}"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        reports.append((out / "report.kv").read_text(encoding="utf-8"))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command", ["run", "tune"])
+def test_bad_synthetic_section_exits_2_at_load(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(popbias.harness.experiment, "generate_synthetic",
+                        lambda *args: pytest.fail("the dataset stage ran"))
+    config = run_config(tmp_path, ["popularity"])
+    write(config, config.read_text().replace('"num_users": 30', '"num_users": 500'))
+    assert main([command, "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: num_users must be divisible by 3 (three groups)\n"
+    assert captured.out == ""
 
 
 def test_run_config_not_an_object_exits_2(tmp_path, capsys):

@@ -21,7 +21,7 @@ from popbias.corpus import (
 )
 from popbias.errors import ParseError, ValidationError
 
-from conftest import make_dataset, random_dataset
+from conftest import bom_copy, make_dataset, random_dataset
 
 
 def write_lines(path, lines):
@@ -170,6 +170,18 @@ class TestIngest:
         write_lines(g, ["u1\tlow", "u2\thigh"])
         ds = ingest_interactions(f, g)
         assert ds.group_labels == ["low", "high"]
+
+    @pytest.mark.parametrize("marked", ["interactions", "groups"])
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, marked):
+        files = {"interactions": tmp_path / "x.tsv", "groups": tmp_path / "g.tsv"}
+        write_lines(files["interactions"], ["u1\ta1\t5", "u2\ta1\t2", "u2\ta2\t1"])
+        write_lines(files["groups"], ["u1\tlow", "u2\thigh"])
+        plain = ingest_interactions(files["interactions"], files["groups"])
+        files[marked] = bom_copy(files[marked])
+        ds = ingest_interactions(files["interactions"], files["groups"])
+        assert (ds.users, ds.artists, ds.group_labels) == (["u1", "u2"], ["a1", "a2"],
+                                                           plain.group_labels)
+        assert (ds.counts != plain.counts).nnz == 0
 
     def test_repeated_identifiers_are_held_once(self, tmp_path):
         # 10,000 records over 40 users and 250 artists: lengthening every

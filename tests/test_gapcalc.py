@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pytest import approx
 from scipy import stats as scipy_stats
 
+from conftest import bom_copy
 from gapcalc_reference import reference_gapcalc, reference_read
 from popbias.corpus import GROUP_LABELS
 from popbias.errors import ParseError, PopBiasError, ValidationError
@@ -52,6 +53,15 @@ class TestReading:
         assert len(records) == 2
         assert records.spotify_popularity[0] == 50.0
         assert records.lfm_phi[1] == 0.6
+
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        path = records_path(tmp_path, [
+            "spotify,alice,low,profile-seed,Artist A,50,0.5",
+            "spotify,alice,low,recommended,Artist B,,0.6",
+        ])
+        plain, marked = read_simulated_records(path), read_simulated_records(bom_copy(path))
+        for want, got in zip(astuple(plain), astuple(marked), strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_empty_optional_fields_allowed(self, tmp_path):
         path = records_path(tmp_path, [

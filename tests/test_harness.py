@@ -34,7 +34,8 @@ from popbias.harness.experiment import (
     tune,
 )
 from popbias.metrics import gap
-from popbias.models import PopularityRecommender, WrmfRecommender
+from popbias.models.base import PopularityRecommender
+from popbias.models.wrmf import WrmfRecommender
 
 import ranking_reference
 from conftest import OracleModel, make_dataset

@@ -5,8 +5,9 @@ through the experiment harness, and imports no learner; a fresh interpreter
 that imports it and runs ``gapcalc``, ``ingest``, ``split`` and ``tailplot``
 loads no learner, no experiment harness and no ``scipy.linalg``.  ``metrics.py`` takes
 popularity as a plain φ vector and imports nothing from popbias but its
-errors.  Entry points that only tests call live in ``tests/``, not ``src/``.
-Each subcommand takes only the options it reads."""
+errors.  No package ``__init__.py`` re-exports a name: callers import the
+module that defines it.  Entry points that only tests call live in ``tests/``,
+not ``src/``.  Each subcommand takes only the options it reads."""
 
 import argparse
 import ast
@@ -17,7 +18,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import popbias.models
 from popbias.cli import build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "popbias"
@@ -103,12 +103,20 @@ def test_non_learner_subcommands_load_no_learner_in_a_fresh_interpreter(tmp_path
     assert json.loads(proc.stdout) == [[0, 0, 0, 0], []]
 
 
+def test_packages_re_export_nothing():
+    """Each ``__init__.py`` holds its docstring and, at the root, ``__version__``."""
+    hits = []
+    for path in sorted(SRC.rglob("__init__.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+        hits.extend(f"{path.relative_to(SRC)}:{node.lineno}: {ast.unparse(node).splitlines()[0]}"
+                    for node in body
+                    if not (path == SRC / "__init__.py" and isinstance(node, ast.Assign)
+                            and [ast.unparse(t) for t in node.targets] == ["__version__"]))
+    assert not hits, "package __init__.py holds more than its docstring:\n" + "\n".join(hits)
+
+
 def test_models_export_no_test_only_entry_point():
-    assert sorted(popbias.models.__all__) == [
-        "MultiVaeRecommender", "PopularityRecommender", "RandomRecommender",
-        "RecommenderModel", "SlimRecommender", "WrmfRecommender", "kl_gaussian",
-        "positive_ranks", "rank_candidates", "wrmf_objective",
-    ]
     moved = {"elbo_loss", "gradient", "_batch_loss_and_grads", "recommend_top_n", "PARAM_KEYS",
              "solve_factors"}
     hits = []

@@ -7,15 +7,15 @@ from pytest import approx
 from popbias.corpus import compute_popularity, split_mask
 from popbias.errors import ValidationError
 from popbias.metrics import gap
-from popbias.models import (
-    MultiVaeRecommender,
+from popbias.models.base import (
     PopularityRecommender,
     RandomRecommender,
-    SlimRecommender,
-    WrmfRecommender,
     positive_ranks,
     rank_candidates,
 )
+from popbias.models.multivae import MultiVaeRecommender
+from popbias.models.slim import SlimRecommender
+from popbias.models.wrmf import WrmfRecommender
 
 import ranking_reference
 from conftest import make_dataset, random_dataset

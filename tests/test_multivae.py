@@ -6,8 +6,7 @@ import pytest
 from pytest import approx
 
 from popbias.errors import ValidationError
-from popbias.models import MultiVaeRecommender, kl_gaussian
-from popbias.models.multivae import init_params
+from popbias.models.multivae import MultiVaeRecommender, init_params, kl_gaussian
 
 from conftest import make_dataset, random_dataset
 from entry_points import _batch_loss_and_grads, elbo_loss, gradient

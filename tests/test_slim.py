@@ -10,8 +10,8 @@ from pytest import approx
 
 from popbias.corpus import InteractionDataset, SyntheticConfig, generate_synthetic, split_mask
 from popbias.errors import NumericalError, ValidationError
-from popbias.models import SlimRecommender
 from popbias.models import slim
+from popbias.models.slim import SlimRecommender
 
 from conftest import make_dataset, random_dataset
 from slim_reference import reference_weights, slim_objective

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from pytest import approx
 
 from popbias.errors import NumericalError, ValidationError
-from popbias.models import WrmfRecommender, wrmf_objective
+from popbias.models.wrmf import WrmfRecommender, wrmf_objective
 
 from conftest import make_dataset, random_dataset
 from entry_points import solve_factors
