@@ -121,7 +121,7 @@ def _cmd_tune(args) -> int:
     if args.out:
         check_writable_dir(args.out)
     dataset = _load_dataset(config)
-    split = split_mask(dataset, config.holdout_fraction, config.split_seed)
+    split = split_mask(dataset, **config.split)
     results = {}
     for spec in tuned:
         best, log = tune(spec.name, spec.grid, split.train, config.tune_seed, config.ap_k)

@@ -172,39 +172,34 @@ def _model_spec(entry, path: str) -> ModelSpec:
 
 @dataclass
 class ExperimentConfig:
-    """Everything an experiment run needs; ``from_dict`` spells every default."""
+    """The config as its own keys, every default written out by ``from_dict``.
 
-    models: list[ModelSpec]
-    interactions_path: str | None
-    groups_path: str | None
-    synthetic: SyntheticConfig | None
-    dataset_seed: int
-    holdout_fraction: float
-    split_seed: int
-    tune_seed: int
+    ``dataset`` is ``{"seed", "synthetic": SyntheticConfig}`` or ``{"seed",
+    "interactions", "groups"}``; ``split`` is ``{"holdout_fraction", "seed"}``.
+    """
+
     seed: int
+    dataset: dict
+    split: dict
+    models: list[ModelSpec]
     top_n: int
     ap_k: int | None
+    tune_seed: int
     popularity_scope: str
     gap_profile: str
 
     def __post_init__(self):
-        if (self.interactions_path is None) == (self.synthetic is None):
-            raise ValidationError(
-                "config needs exactly one dataset source: interactions file or synthetic"
-            )
-        if self.synthetic is not None and self.groups_path is not None:
-            # the file would never be opened: synthetic users get mainstream groups
-            raise ValidationError("config dataset.groups is read only with "
-                                  "dataset.interactions, not with dataset.synthetic")
-        if self.synthetic is not None:
-            self.synthetic.validate()
+        if "synthetic" in self.dataset:
+            try:
+                self.dataset["synthetic"].validate()
+            except ValidationError as exc:
+                raise ValidationError(f"config dataset.synthetic: {exc}") from exc
         # every derived seed (seed + 101 * (position + 1), tune_seed) is then >= 0
-        for key, value in (("seed", self.seed), ("dataset.seed", self.dataset_seed),
-                           ("split.seed", self.split_seed), ("tune_seed", self.tune_seed)):
+        for key, value in (("seed", self.seed), ("dataset.seed", self.dataset["seed"]),
+                           ("split.seed", self.split["seed"]), ("tune_seed", self.tune_seed)):
             if value < 0:
                 raise ValidationError(f"config {key} must be >= 0, got {value}")
-        if not 0 < self.holdout_fraction < 1:
+        if not 0 < self.split["holdout_fraction"] < 1:
             raise ValidationError("split fraction must be in (0, 1)")
         if self.top_n < 1:
             raise ValidationError("top_n must be >= 1")
@@ -229,60 +224,45 @@ class ExperimentConfig:
         """Build a config from parsed JSON; unknown keys and wrong types are errors."""
         _check_config(raw, _CONFIG_SCHEMA)
         seed = raw.get("seed", 0)
-        dataset = raw.get("dataset", {})
-        if dataset.get("interactions") is not None and "seed" in dataset:
+        given = raw.get("dataset", {})
+        if (given.get("interactions") is None) == ("synthetic" not in given):
+            raise ValidationError(
+                "config needs exactly one dataset source: interactions file or synthetic"
+            )
+        dataset = {"seed": given.get("seed", seed)}
+        if "synthetic" in given:
+            if given.get("groups") is not None:
+                # the file would never be opened: synthetic users get mainstream groups
+                raise ValidationError("config dataset.groups is read only with "
+                                      "dataset.interactions, not with dataset.synthetic")
+            syn = {k: tuple(v) if isinstance(v, list) else v
+                   for k, v in given["synthetic"].items()}
+            try:
+                dataset["synthetic"] = SyntheticConfig(**syn)
+            except TypeError as exc:
+                raise ValidationError(f"config dataset.synthetic: {exc}") from exc
+        elif "seed" in given:
             # only the synthetic generator draws from it
             raise ValidationError("config dataset.seed is read only with "
                                   "dataset.synthetic, not with dataset.interactions")
-        synthetic = None
-        if "synthetic" in dataset:
-            syn = {k: tuple(v) if isinstance(v, list) else v
-                   for k, v in dataset["synthetic"].items()}
-            try:
-                synthetic = SyntheticConfig(**syn)
-            except TypeError as exc:
-                raise ValidationError(f"bad synthetic config: {exc}") from exc
+        else:
+            dataset.update(interactions=given["interactions"], groups=given.get("groups"))
         split = raw.get("split", {})
         return cls(
-            models=[_model_spec(m, f"models[{i}]") for i, m in enumerate(raw.get("models", []))],
-            interactions_path=dataset.get("interactions"),
-            groups_path=dataset.get("groups"),
-            synthetic=synthetic,
-            dataset_seed=dataset.get("seed", seed),
-            holdout_fraction=float(split.get("holdout_fraction", 0.2)),
-            split_seed=split.get("seed", seed),
-            tune_seed=raw.get("tune_seed", seed),
             seed=seed,
+            dataset=dataset,
+            split={"holdout_fraction": float(split.get("holdout_fraction", 0.2)),
+                   "seed": split.get("seed", seed)},
+            models=[_model_spec(m, f"models[{i}]") for i, m in enumerate(raw.get("models", []))],
             top_n=raw.get("top_n", 10),
             ap_k=raw.get("ap_k"),
+            tune_seed=raw.get("tune_seed", seed),
             popularity_scope=raw.get("popularity_scope", "all-data"),
             gap_profile=raw.get("gap_profile", "full"),
         )
 
-    def to_canonical_dict(self) -> dict:
-        dataset: dict = {"seed": self.dataset_seed}
-        if self.synthetic is not None:
-            dataset["synthetic"] = asdict(self.synthetic)
-        else:
-            dataset["interactions"] = self.interactions_path
-            dataset["groups"] = self.groups_path
-        return {
-            "seed": self.seed,
-            "dataset": dataset,
-            "split": {"holdout_fraction": self.holdout_fraction, "seed": self.split_seed},
-            "models": [
-                {"name": m.name, "hyperparams": m.hyperparams, "grid": m.grid}
-                for m in self.models
-            ],
-            "top_n": self.top_n,
-            "ap_k": self.ap_k,
-            "tune_seed": self.tune_seed,
-            "popularity_scope": self.popularity_scope,
-            "gap_profile": self.gap_profile,
-        }
-
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_canonical_dict(), sort_keys=True, separators=(",", ":"))
+        canon = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -522,9 +502,10 @@ def _stage(name, fn, *args, **kwargs):
 
 
 def _load_dataset(config: ExperimentConfig) -> InteractionDataset:
-    if config.synthetic is not None:
-        return generate_synthetic(config.synthetic, config.dataset_seed)
-    return ingest_interactions(config.interactions_path, config.groups_path)
+    source = config.dataset
+    if "synthetic" in source:
+        return generate_synthetic(source["synthetic"], source["seed"])
+    return ingest_interactions(source["interactions"], source["groups"])
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
@@ -538,7 +519,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     if out_dir is not None:
         check_writable_dir(out_dir)
     dataset = _stage("dataset", _load_dataset, config)
-    split = _stage("split", split_mask, dataset, config.holdout_fraction, config.split_seed)
+    split = _stage("split", split_mask, dataset, **config.split)
     phi_all = _stage("popularity", compute_popularity, dataset)
     if config.popularity_scope == "train-only":
         phi_eval = _stage("popularity", compute_popularity, split.train)
@@ -573,8 +554,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     provenance = {
         "config_hash": config.config_hash(),
         "seed": config.seed,
-        "seed.dataset": config.dataset_seed,
-        "seed.split": config.split_seed,
+        "seed.dataset": config.dataset["seed"],
+        "seed.split": config.split["seed"],
         "seed.tune": config.tune_seed,
         "version.popbias": __version__,
         "version.numpy": np.__version__,

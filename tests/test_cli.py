@@ -259,6 +259,26 @@ def test_tune_without_grid_reads_no_data(tmp_path, capsys, monkeypatch):
     assert captured.err == "no model in the config declares a tuning grid\n"
 
 
+def test_ingest_out_re_ingests_to_the_same_dataset(tmp_path, capsys):
+    data = write(tmp_path / "plays.tsv",
+                 "user\tartist\tcount\nu2\ta3\t4\nu1\ta2\t1\nu1\ta1\t5\nu2\ta1\t2\nu1\ta2\t3\n")
+    groups = write(tmp_path / "groups.tsv", "u1\tlow\nu2\thigh\n")
+    out = tmp_path / "normalized.tsv"
+    assert main(["ingest", "--data", str(data), "--groups", str(groups), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote normalized interactions to {out}\n")
+    assert ingest_interactions(out, groups) == ingest_interactions(data, groups)
+
+
+def test_ingest_out_of_a_synth_output_is_byte_identical(tmp_path):
+    synth = tmp_path / "synth"
+    assert main(["synth", "--users", "9", "--artists", "30", "--profile-min", "3",
+                 "--profile-max", "6", "--seed", "4", "--out", str(synth)]) == 0
+    out = tmp_path / "normalized.tsv"
+    assert main(["ingest", "--data", str(synth / "interactions.tsv"),
+                 "--groups", str(synth / "groups.tsv"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (synth / "interactions.tsv").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["split", "tailplot"])
 def test_split_and_tailplot_take_no_groups(tmp_path, data_file, capsys, command):
     groups = write(tmp_path / "groups.tsv", "u1\tlow\nu2\tmedium\nu3\thigh\n")
@@ -442,7 +462,8 @@ def test_bad_synthetic_section_exits_2_at_load(tmp_path, capsys, monkeypatch, co
     write(config, config.read_text().replace('"num_users": 30', '"num_users": 500'))
     assert main([command, "--config", str(config)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: num_users must be divisible by 3 (three groups)\n"
+    assert captured.err == ("error: config dataset.synthetic: "
+                            "num_users must be divisible by 3 (three groups)\n")
     assert captured.out == ""
 
 

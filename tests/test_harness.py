@@ -218,6 +218,9 @@ class TestConfig:
         pytest.param(("dataset",), {"interactions": "plays.tsv", "seed": 2},
                      r"^config dataset\.seed is read only with dataset\.synthetic",
                      id="dataset-seed-with-interactions"),
+        pytest.param(("models",), [], "^config lists no models$", id="no-models"),
+        pytest.param(("dataset", "synthetic"), {"num_artists": 80},
+                     r"^config dataset\.synthetic: .*'num_users'", id="synthetic-without-num-users"),
     ])
     def test_wrong_types_and_names_rejected(self, path, value, message):
         raw = tiny_raw_config()
@@ -228,22 +231,37 @@ class TestConfig:
         with pytest.raises(ValidationError, match=message):
             ExperimentConfig.from_dict(raw)
 
+    # every default written out, and only the chosen source's keys
+    @pytest.mark.parametrize("raw, expected", [
+        ({"dataset": {"interactions": "plays.tsv"}, "models": ["popularity"]},
+         "db3b2681ecc8af59"),
+        ({"seed": 3, "dataset": {"interactions": "plays.tsv", "groups": "g.tsv"},
+          "split": {"holdout_fraction": 0.3}, "models": [{"name": "wrmf", "grid": [{"factors": 2}]}],
+          "ap_k": 7, "tune_seed": 4, "popularity_scope": "train-only", "gap_profile": "train"},
+         "430a56fd02d08001"),
+        ({"dataset": {"synthetic": {"num_users": 3, "num_artists": 5, "profile_size_range": [1, 2]},
+                      "groups": None}, "models": ["random"]},
+         "c77834139671c3ac"),
+    ])
+    def test_hash_pinned(self, raw, expected):
+        assert ExperimentConfig.from_dict(raw).config_hash() == expected
+
     def test_synthetic_with_null_groups_accepted(self):
         raw = tiny_raw_config()
         raw["dataset"]["groups"] = None
-        assert ExperimentConfig.from_dict(raw).groups_path is None
+        assert "groups" not in ExperimentConfig.from_dict(raw).dataset
 
     def test_interactions_inherit_the_dataset_seed(self):
         raw = tiny_raw_config()
         raw["dataset"] = {"interactions": "plays.tsv"}
-        assert ExperimentConfig.from_dict(raw).dataset_seed == 5
+        assert ExperimentConfig.from_dict(raw).dataset["seed"] == 5
 
     def test_numbers_accept_integers(self):
         raw = tiny_raw_config()
         raw["dataset"]["synthetic"].update(zipf_exponent=1, mainstream_mix=[0, 1, 2])
         config = ExperimentConfig.from_dict(raw)
-        assert config.synthetic.zipf_exponent == 1
-        assert config.synthetic.mainstream_mix == (0, 1, 2)
+        assert config.dataset["synthetic"].zipf_exponent == 1
+        assert config.dataset["synthetic"].mainstream_mix == (0, 1, 2)
 
     def test_largest_float_sized_integer_accepted(self):
         raw = tiny_raw_config()
@@ -489,12 +507,25 @@ class TestRunExperiment:
         with pytest.raises(ValidationError, match="stage 'dataset'"):
             run_experiment(ExperimentConfig.from_dict(raw))
 
+    def test_group_labels_come_from_the_groups_file(self, tmp_path):
+        plays = tmp_path / "plays.tsv"
+        plays.write_text("".join(f"u{u}\ta{(u + j) % 12}\t{j + 1}\n"
+                                 for u in range(9) for j in range(6)), encoding="utf-8")
+        groups = tmp_path / "groups.tsv"
+        groups.write_text("".join(f"u{u}\t{'high' if u < 7 else 'low'}\n" for u in range(9)),
+                          encoding="utf-8")
+        raw = tiny_raw_config(dataset={"interactions": str(plays), "groups": str(groups)})
+        lines = run_experiment(ExperimentConfig.from_dict(raw)).to_kv_lines()
+        users = [line for line in lines if line.startswith("users.popularity.")]
+        assert users == ["users.popularity.all=9.000000", "users.popularity.low=2.000000",
+                         "users.popularity.high=7.000000"]
+
     @staticmethod
     def run_with_inputs(**overrides):
         """The report of a tiny run, and the dataset, split and group users it evaluates."""
         config = ExperimentConfig.from_dict(tiny_raw_config(**overrides))
-        dataset = generate_synthetic(config.synthetic, config.dataset_seed)
-        split = split_mask(dataset, config.holdout_fraction, config.split_seed)
+        dataset = generate_synthetic(config.dataset["synthetic"], config.dataset["seed"])
+        split = split_mask(dataset, **config.split)
         labels = np.asarray(dataset.group_labels)
         users = {"all": np.arange(dataset.num_users)}
         users.update((label, np.flatnonzero(labels == label)) for label in GROUP_LABELS)

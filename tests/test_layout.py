@@ -6,7 +6,8 @@ that imports it and runs ``gapcalc``, ``ingest``, ``split`` and ``tailplot``
 loads no learner, no experiment harness and no ``scipy.linalg``.  ``metrics.py`` takes
 popularity as a plain φ vector and imports nothing from popbias but its
 errors.  No package ``__init__.py`` re-exports a name: callers import the
-module that defines it.  Entry points that only tests call live in ``tests/``,
+module that defines it.  ``ExperimentConfig`` holds the config in its own
+shape, so ``config_hash`` hashes ``asdict`` of it.  Entry points that only tests call live in ``tests/``,
 not ``src/``.  Each subcommand takes only the options it reads."""
 
 import argparse
@@ -16,9 +17,11 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from popbias.cli import build_parser
+from popbias.harness.experiment import _CONFIG_SCHEMA, ExperimentConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "popbias"
 FILE_ACCESS = re.compile(r"open\(|\.read_text\(|\.write_text\(|\.mkdir\(")
@@ -155,3 +158,12 @@ def test_metrics_imports_only_errors_from_popbias():
                   if name.split(".")[0] == "popbias"
                   and not (name == "popbias.errors" or name.startswith("popbias.errors.")))
     assert not hits, f"metrics.py imports {hits}"
+
+
+def test_experiment_config_is_held_in_the_config_shape():
+    assert {f.name for f in fields(ExperimentConfig)} == set(_CONFIG_SCHEMA)
+    for source in ({"synthetic": {"num_users": 3, "num_artists": 5, "profile_size_range": [1, 2]}},
+                   {"interactions": "plays.tsv", "groups": "groups.tsv"}):
+        loaded = asdict(ExperimentConfig.from_dict({"dataset": source, "models": ["random"]}))
+        for section in ("split", "dataset"):
+            assert set(loaded[section]) <= set(_CONFIG_SCHEMA[section]), section
