@@ -77,6 +77,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    check_writable_dir(args.out)
     config = SyntheticConfig(
         num_users=args.users,
         num_artists=args.artists,
@@ -95,6 +96,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    check_writable_dir(args.out)
     dataset = ingest_interactions(args.data)
     split = split_mask(dataset, args.fraction, args.seed)
     out = Path(args.out)
@@ -149,6 +151,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gapcalc(args) -> int:
+    if args.out:
+        check_writable_dir(args.out)
     records = read_simulated_records(args.records)
     report = gapcalc(records)
     print(report.to_text())
@@ -159,6 +163,7 @@ def _cmd_gapcalc(args) -> int:
 
 
 def _cmd_tailplot(args) -> int:
+    check_writable_dir(args.out)
     dataset = ingest_interactions(args.data)
     stats, paths = emit_tail_plot_data(dataset, args.out)
     print(f"artists\t{stats.num_artists}")

@@ -143,7 +143,8 @@ class SyntheticConfig:
 
     ``mainstream_mix`` gives the per-group sampling bias (low, medium, high):
     a user's artist-sampling weight is base_popularity ** bias, so larger
-    values concentrate profiles on popular artists.
+    values concentrate profiles on popular artists.  A config with a bad
+    value raises ``ValidationError`` when it is built.
     """
 
     num_users: int
@@ -153,7 +154,7 @@ class SyntheticConfig:
     mainstream_mix: tuple[float, float, float] = (0.3, 1.0, 2.2)
     count_geometric_p: float = 0.5
 
-    def validate(self):
+    def __post_init__(self):
         if self.num_users < 1 or self.num_artists < 1:
             raise ValidationError("num_users and num_artists must be >= 1")
         if self.num_users % 3 != 0:
@@ -541,7 +542,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> InteractionDataset
     on the head of the distribution.  Play counts are geometric (>= 1).
     Byte-identical output for identical (config, seed).
     """
-    config.validate()
     if seed < 0:
         raise ValidationError("seed must be a non-negative integer")
     nu, na = config.num_users, config.num_artists

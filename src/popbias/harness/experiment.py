@@ -189,11 +189,6 @@ class ExperimentConfig:
     gap_profile: str
 
     def __post_init__(self):
-        if "synthetic" in self.dataset:
-            try:
-                self.dataset["synthetic"].validate()
-            except ValidationError as exc:
-                raise ValidationError(f"config dataset.synthetic: {exc}") from exc
         # every derived seed (seed + 101 * (position + 1), tune_seed) is then >= 0
         for key, value in (("seed", self.seed), ("dataset.seed", self.dataset["seed"]),
                            ("split.seed", self.split["seed"]), ("tune_seed", self.tune_seed)):
@@ -239,7 +234,7 @@ class ExperimentConfig:
                    for k, v in given["synthetic"].items()}
             try:
                 dataset["synthetic"] = SyntheticConfig(**syn)
-            except TypeError as exc:
+            except (TypeError, ValidationError) as exc:
                 raise ValidationError(f"config dataset.synthetic: {exc}") from exc
         elif "seed" in given:
             # only the synthetic generator draws from it

@@ -57,16 +57,18 @@ class _SparseRows:
     Row k is ``value[k] = 1 / sqrt(count[k])`` at each of its ``count[k]``
     listened artists and +0.0 elsewhere; ``nz`` holds the flat positions of
     those entries in the (C-contiguous) batch x n block, row by row, as int32
-    where they fit.  After ``drop``, the encoder sees
-    ``value[k] * kept / keep_prob`` at each entry, which is the reference's
-    ``target * mask / keep_prob`` there, and +0.0 elsewhere.
+    where they fit.  An entry is kept when its draw in ``uniforms`` (batch x
+    n) is below ``keep_prob``; the encoder sees ``value[k] * kept /
+    keep_prob`` at each entry, which is the reference's ``target * mask /
+    keep_prob`` there, and +0.0 elsewhere.
 
     Every pass over the entries goes span by span, a span being consecutive
     rows with at most n entries together (or one row), so no temporary is
     larger than a few rows of the block; realistic batches are one span.
     """
 
-    def __init__(self, train: InteractionDataset, users, n: int):
+    def __init__(self, train: InteractionDataset, users, n: int, uniforms: np.ndarray,
+                 keep_prob: float):
         indptr = train.counts.indptr
         lo = indptr[users]
         self.count = indptr[users + 1] - lo
@@ -79,6 +81,9 @@ class _SparseRows:
             self._spans.append((slice(int(begin), int(ends[c - 1])), slice(a, c)))
             a = c
         self.nz = np.empty(int(ends[-1]), np.int32 if len(users) * n < 2**31 else np.int64)
+        self.kept = np.empty(self.nz.size, dtype=bool)
+        self.keep_prob = keep_prob
+        drawn = uniforms.reshape(-1)
         for entries, rows in self._spans:
             count = self.count[rows]
             # each entry's position in train.counts.indices, then in the block
@@ -87,19 +92,10 @@ class _SparseRows:
             pos = np.repeat(np.arange(rows.start, rows.stop) * n, count)
             pos += train.counts.indices[at]
             self.nz[entries] = pos
-        self.kept = None
-        self.keep_prob = 1.0
+            np.less(drawn[pos], keep_prob, out=self.kept[entries])
 
     def _values(self, rows):
         return np.repeat(self.value[rows], self.count[rows])
-
-    def drop(self, uniforms: np.ndarray, keep_prob: float) -> None:
-        """Keep the entries whose draw in ``uniforms`` (batch x n) is below ``keep_prob``."""
-        flat = uniforms.reshape(-1)
-        self.kept = np.empty(self.nz.size, dtype=bool)
-        for entries, _ in self._spans:
-            np.less(flat[self.nz[entries]], keep_prob, out=self.kept[entries])
-        self.keep_prob = keep_prob
 
     def write_target(self, out: np.ndarray) -> None:
         """Overwrite ``out`` (batch x n) with the target rows."""
@@ -110,9 +106,6 @@ class _SparseRows:
 
     def write_input(self, out: np.ndarray) -> None:
         """Overwrite ``out`` (batch x n) with the encoder's input rows."""
-        if self.kept is None:
-            self.write_target(out)
-            return
         out.fill(0.0)
         flat = out.reshape(-1)
         for entries, rows in self._spans:
@@ -297,11 +290,9 @@ class MultiVaeRecommender(RecommenderModel):
             for bi, start in enumerate(range(0, train.num_users, self.batch_size)):
                 users = order[start : start + self.batch_size]
                 b = len(users)
-                rows = _SparseRows(train, users, n)
+                drop_rng.random(out=logits[:b])
+                rows = _SparseRows(train, users, n, logits[:b], self.dropout_keep)
                 eps = noise_rng.standard_normal((b, k))
-                if self.dropout_keep < 1.0:
-                    drop_rng.random(out=logits[:b])
-                    rows.drop(logits[:b], self.dropout_keep)
                 beta = self._beta_at(step)
                 # an overflow shows up as a non-finite loss, reported below
                 with np.errstate(over="ignore", invalid="ignore"):

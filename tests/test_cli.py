@@ -635,3 +635,40 @@ def test_bad_fixed_hyperparameter_exits_2_before_the_dataset_stage(tmp_path, cap
     err = capsys.readouterr().err
     assert "error: config models[1].hyperparams: epochs and batch_size must be >= 1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["gapcalc", "split", "synth", "tailplot"])
+def test_out_is_checked_before_data_is_read_or_generated(tmp_path, data_file, capsys,
+                                                         monkeypatch, command):
+    for name in ("generate_synthetic", "ingest_interactions", "read_simulated_records"):
+        monkeypatch.setattr(f"popbias.cli.{name}",
+                            lambda *args: pytest.fail("data was read or generated"))
+    argv = OUT_COMMANDS[command](tmp_path, data_file) + ["--out", str(data_file / "x")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {data_file / 'x'}: {data_file} is not a directory\n")
+
+
+def test_run_multivae_loss_overflow_exits_3(tmp_path, capsys):
+    # three batches: the first update leaves parameters that overflow the second loss
+    config = run_config(tmp_path, [{"name": "multivae", "hyperparams": {
+        "learning_rate": 1e308, "epochs": 1, "batch_size": 10}}])
+    assert main(["run", "--config", str(config)]) == 3
+    assert capsys.readouterr().err == (
+        "error: stage 'fit:multivae': non-finite loss at epoch 0, batch 1\n")
+
+
+def test_split_negative_seed_exits_2(data_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["split", "--data", str(data_file), "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer\n"
+    assert not out.exists()
+
+
+def test_run_out_name_too_long_exits_2(tmp_path, capsys):
+    config = run_config(tmp_path, [{"name": "popularity"}])
+    out = tmp_path / ("o" * 256)
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: [Errno 36] File name too long"), err
+    assert err.count("\n") == 1

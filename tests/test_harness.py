@@ -19,6 +19,7 @@ from popbias.corpus import (
     compute_popularity,
     emit_tail_plot_data,
     generate_synthetic,
+    ingest_interactions,
     split_mask,
     user_mainstreaminess,
 )
@@ -519,6 +520,24 @@ class TestRunExperiment:
         users = [line for line in lines if line.startswith("users.popularity.")]
         assert users == ["users.popularity.all=9.000000", "users.popularity.low=2.000000",
                          "users.popularity.high=7.000000"]
+
+    def test_users_without_a_groups_file_get_mainstream_terciles(self, tmp_path):
+        # the terciles interleave u0..u8, so groups taken in file order would differ
+        plays = tmp_path / "plays.tsv"
+        plays.write_text("".join(f"u{u}\ta{(u + j) % 12}\t{j + 1}\n"
+                                 for u in range(9) for j in range(4)), encoding="utf-8")
+        raw = tiny_raw_config(dataset={"interactions": str(plays)})
+        report = run_experiment(ExperimentConfig.from_dict(raw))
+        users = [line for line in report.to_kv_lines() if line.startswith("users.popularity.")]
+        assert users == ["users.popularity.all=9.000000", "users.popularity.low=3.000000",
+                         "users.popularity.medium=3.000000", "users.popularity.high=3.000000"]
+        dataset = ingest_interactions(plays)
+        phi = compute_popularity(dataset)
+        labels = assign_mainstream_groups(dataset, phi)
+        gaps = [report.model_groups["popularity"][group].gap_p for group in GROUP_LABELS]
+        assert gaps == [gap([dataset.profile(u) for u in range(9) if labels[u] == group], phi)
+                        for group in GROUP_LABELS]
+        assert gaps[0] < gaps[1] < gaps[2]
 
     @staticmethod
     def run_with_inputs(**overrides):
