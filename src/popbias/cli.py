@@ -4,8 +4,8 @@ Subcommands: ingest, synth, split, tune, run, gapcalc, tailplot.  Numeric
 options take ASCII numbers without ``_``, as the input files do.  Exit codes:
 0 success; 2 validation/parse error, including an input that cannot be read
 or is not UTF-8 and an output path that cannot be written; 3 numerical or
-other processing error.  Only ``tune`` and ``run`` import the experiment
-harness and, through it, the learners.
+other processing error, or out of memory.  Only ``tune`` and ``run`` import
+the experiment harness and, through it, the learners.
 """
 
 from __future__ import annotations
@@ -242,6 +242,9 @@ def main(argv=None) -> int:
         return 2
     except PopBiasError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 3
 
 

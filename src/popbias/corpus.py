@@ -479,8 +479,8 @@ def split_mask(
     if seed < 0:
         raise ValidationError("seed must be a non-negative integer")
     counts = dataset.counts
-    indptr, indices, data = counts.indptr, counts.indices, counts.data
-    keep = np.ones(len(data), dtype=bool)
+    indptr, indices = counts.indptr, counts.indices
+    train_data = counts.data.copy()  # counts are >= 1, so the zeros are the masked entries
     masked: list[np.ndarray] = []
     for u in range(dataset.num_users):
         lo, hi = indptr[u], indptr[u + 1]
@@ -491,15 +491,11 @@ def split_mask(
             continue
         rng = _user_rng(seed, u)
         positions = rng.choice(size, size=m, replace=False)
-        keep[lo + positions] = False
+        train_data[lo + positions] = 0
         masked.append(np.sort(indices[lo + positions]))
-    kept_cum = np.concatenate(([0], np.cumsum(keep.astype(np.int64))))
-    new_indptr = kept_cum[indptr]
-    train_counts = sp.csr_matrix(
-        (data[keep], indices[keep], new_indptr), shape=counts.shape
-    )
     train = InteractionDataset(
-        dataset.users, dataset.artists, train_counts, dataset.group_labels
+        dataset.users, dataset.artists,
+        sp.csr_matrix((train_data, indices, indptr), shape=counts.shape), dataset.group_labels
     )
     return SplitDataset(train=train, masked=masked)
 

@@ -494,6 +494,8 @@ def _stage(name, fn, *args, **kwargs):
     except PopBiasError as exc:
         exc.args = (f"stage {name!r}: {exc}",)
         raise
+    except MemoryError as exc:
+        raise NumericalError(f"stage {name!r}: out of memory ({exc})") from exc
 
 
 def _load_dataset(config: ExperimentConfig) -> InteractionDataset:

@@ -69,9 +69,7 @@ class _SparseRows:
 
     def __init__(self, train: InteractionDataset, users, n: int, uniforms: np.ndarray,
                  keep_prob: float):
-        indptr = train.counts.indptr
-        lo = indptr[users]
-        self.count = indptr[users + 1] - lo
+        self.count = np.diff(train.counts.indptr)[users]
         self.value = 1.0 / np.sqrt(self.count)
         ends = np.cumsum(self.count)
         self._spans, a = [], 0
@@ -85,12 +83,8 @@ class _SparseRows:
         self.keep_prob = keep_prob
         drawn = uniforms.reshape(-1)
         for entries, rows in self._spans:
-            count = self.count[rows]
-            # each entry's position in train.counts.indices, then in the block
-            at = np.repeat(lo[rows] - ends[rows] + count, count)
-            at += np.arange(entries.start, entries.stop)
-            pos = np.repeat(np.arange(rows.start, rows.stop) * n, count)
-            pos += train.counts.indices[at]
+            pos = np.repeat(np.arange(rows.start, rows.stop) * n, self.count[rows])
+            pos += train.counts[users[rows]].indices
             self.nz[entries] = pos
             np.less(drawn[pos], keep_prob, out=self.kept[entries])
 

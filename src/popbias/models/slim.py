@@ -43,9 +43,11 @@ def _candidate_pattern(mat):
     lower = diagonal[diagonal > gram.indptr[rows[diagonal]]]
     neighbour = np.full(gram.shape[0], -1)
     neighbour[rows[lower]] = gram.indices[lower - 1]
-    indptr = gram.indptr - np.searchsorted(diagonal, gram.indptr)
-    cols = np.delete(gram.indices, diagonal).astype(np.int32, copy=False)
-    return indptr, cols, np.delete(gram.data, diagonal), gram.diagonal(), neighbour
+    col_norms = gram.diagonal()
+    gram.data[diagonal] = 0.0
+    gram.eliminate_zeros()
+    return (gram.indptr.astype(np.int64), gram.indices.astype(np.int32, copy=False), gram.data,
+            col_norms, neighbour)
 
 
 # Bytes the fit holds per entry of the gram's pattern at its peak, in the
@@ -254,11 +256,8 @@ class SlimRecommender(RecommenderModel):
             indptr, cols, corr, col_norms, neighbour, self.l1_penalty, self.l2_penalty,
             self.max_iters, self.tolerance, trace,
         )
-        keep = w != 0.0
-        kept = np.concatenate(([0], np.cumsum(keep)))
-        self.weights_ = sp.csc_matrix(
-            (w[keep], cols[keep], kept[indptr]), shape=(num_artists, num_artists)
-        )
+        self.weights_ = sp.csc_matrix((w, cols, indptr), shape=(num_artists, num_artists))
+        self.weights_.eliminate_zeros()
         # a CSR row times a CSC matrix converts the matrix to CSR on every
         # call; converting once scores every user from the same CSR
         self._weights_csr = self.weights_.tocsr()

@@ -176,8 +176,6 @@ class WrmfRecommender(RecommenderModel):
                 self.objective_trace_.append(
                     wrmf_objective(train, X, Y, self.alpha, self.ridge, self.confidence)
                 )
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-            raise NumericalError("non-finite factors after ALS")
         self.user_factors_ = X
         self.item_factors_ = Y
         self.num_artists_ = train.num_artists

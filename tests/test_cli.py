@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import popbias.cli
 import popbias.harness.experiment
 from popbias.cli import main
 from popbias.corpus import ingest_interactions
 from popbias.models.base import PopularityRecommender
+from popbias.models.multivae import MultiVaeRecommender
 from popbias.models.slim import SlimRecommender
 from popbias.models.wrmf import WrmfRecommender
 
@@ -599,6 +601,24 @@ def test_run_state_larger_than_memory_exits_3(tmp_path, capsys, monkeypatch, mod
     err = capsys.readouterr().err
     assert re.search(re.escape(message) + r"[\d,]+ bytes, more than the [\d,]+ bytes", err)
     assert "Traceback" not in err
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 14.7 MiB for an array with shape (64, 30000)")
+
+
+@pytest.mark.parametrize("argv, patched, message", [
+    (["run", "--config", "CONFIG"], (MultiVaeRecommender, "fit"), "stage 'fit:multivae': "),
+    (["ingest", "--data", "DATA"], (popbias.cli, "ingest_interactions"), ""),
+], ids=["run learner", "ingest"])
+def test_out_of_memory_exits_3_with_one_line(tmp_path, data_file, capsys, monkeypatch, argv,
+                                             patched, message):
+    monkeypatch.setattr(*patched, _out_of_memory)
+    paths = {"DATA": str(data_file), "CONFIG": str(run_config(tmp_path, [{"name": "multivae"}]))}
+    assert main([paths.get(arg, arg) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"error: {message}out of memory (Unable to allocate 14.7 MiB for an array "
+                   "with shape (64, 30000))\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -398,6 +399,19 @@ class TestSplitMask:
             # train counts unchanged for kept artists
             for a in kept:
                 assert split.train.counts[u, a] == ds.counts[u, a]
+
+
+def test_desk_train_split_bytes_are_pinned():
+    # the reports would not show a change of the train matrix's layout or dtypes
+    config = SyntheticConfig(501, 2000, 1.0, (10, 40))
+    counts = split_mask(generate_synthetic(config, seed=11), 0.2, seed=12).train.counts
+    assert (counts.data.dtype, counts.indices.dtype, counts.indptr.dtype) == (
+        np.int64, np.int32, np.int32)
+    assert counts.nnz == 10_438
+    digest = hashlib.sha256()
+    for part in (counts.data, counts.indices, counts.indptr):
+        digest.update(part.tobytes())
+    assert digest.hexdigest().startswith("2ec12eb8a5168cb1")
 
 
 class TestTailStats:
