@@ -113,7 +113,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    from .harness.experiment import _load_dataset, tune
+    from .harness.experiment import _load_dataset, _stage, tune
 
     config = _load_config(args)
     tuned = [spec for spec in config.models if spec.grid is not None]
@@ -122,11 +122,13 @@ def _cmd_tune(args) -> int:
         return 0
     if args.out:
         check_writable_dir(args.out)
-    dataset = _load_dataset(config)
-    split = split_mask(dataset, **config.split)
+    # staged as run_experiment stages them, so a failure names its stage
+    dataset = _stage("dataset", _load_dataset, config)
+    split = _stage("split", split_mask, dataset, **config.split)
     results = {}
     for spec in tuned:
-        best, log = tune(spec.name, spec.grid, split.train, config.tune_seed, config.ap_k)
+        best, log = _stage(f"tune:{spec.name}", tune, spec.name, spec.grid, split.train,
+                           config.tune_seed, config.ap_k)
         results[spec.name] = {"best": best, "log": log}
         print(f"{spec.name}\tbest: {json.dumps(best, sort_keys=True)}")
         for entry in log:

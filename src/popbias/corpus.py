@@ -215,35 +215,54 @@ def read_lines(path, newline=None):
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def write_lines(path, lines) -> Path:
+def write_lines(path, lines, *, move=True) -> Path:
     """Write ``lines`` as UTF-8 text, one per line, and return the path.
 
-    The parent directory is created when missing.  A path that cannot be
-    written raises ``ValidationError`` naming it.  Every file popbias writes
-    goes through here.
+    The lines go to ``<name>.tmp`` in the target directory, and ``os.replace``
+    then moves that onto ``path``, so a failed write leaves ``path`` as it was
+    and no temporary file.  With ``move=False`` the temporary file stays and
+    its path is returned, for a caller that moves several files only once all
+    are written.  The parent directory is created when missing.  A path that
+    cannot be written raises ``ValidationError`` naming it.  Every file
+    popbias writes goes through here.
     """
     path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{line}\n" for line in lines)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{line}\n" for line in lines)
+            if move:
+                os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
-    return path
+    return path if move else tmp
 
 
 def write_report_files(out_dir, stem: str, text: str, kv_lines) -> tuple[Path, Path]:
-    """Write ``<stem>.txt`` and ``<stem>.kv``; on failure remove what was written.
+    """Write ``<stem>.txt`` and ``<stem>.kv``, moving neither into place before both are written.
 
+    A failed write leaves the earlier files as they were and no temporary
+    file.  When a move fails, the file already moved is removed too.
     ``text`` ends with a newline, which ``write_lines`` puts back.
     """
     paths = (Path(out_dir) / f"{stem}.txt", Path(out_dir) / f"{stem}.kv")
-    written = []
+    temps, moved = [], []
     try:
         for path, lines in zip(paths, ([text.removesuffix("\n")], kv_lines)):
-            written.append(write_lines(path, lines))
-    except Exception:
-        for path in written:
+            temps.append(write_lines(path, lines, move=False))
+        for tmp, path in zip(temps, paths):
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise ValidationError(f"cannot write {path}: {exc}") from exc
+            moved.append(path)
+    except BaseException:
+        for path in temps + moved:
             path.unlink(missing_ok=True)
         raise
     return paths

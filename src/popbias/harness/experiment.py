@@ -511,7 +511,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     When ``out_dir`` is given, writes ``report.txt`` and ``report.kv`` there;
     an ``out_dir`` that cannot be written is rejected before any stage runs.
     Any stage failure raises with a stage-tagged message and leaves no
-    partial report files behind.
+    partial report files behind.  The reports are moved into place only once
+    both are written, so a write that fails also leaves an earlier run's
+    reports as they were.
     """
     if out_dir is not None:
         check_writable_dir(out_dir)

@@ -185,10 +185,6 @@ def _coordinate_descent(indptr, cols, corr, col_norms, neighbour, l1, l2, max_it
         if bad.size:
             raise NumericalError(f"non-finite coordinate update in column {bad[0]}")
         active &= max_delta >= tolerance
-    bad = np.flatnonzero(~np.isfinite(w))
-    if bad.size:
-        column = np.searchsorted(indptr, bad[0], side="right") - 1
-        raise NumericalError(f"non-finite weights in column {column}")
     return w, sweeps, steps
 
 

@@ -122,6 +122,35 @@ def test_run_failed_report_write_leaves_no_report(tmp_path, capsys):
     assert (out / "report.kv").is_dir()
 
 
+# Runs the CLI on argv[1:] with SIGXFSZ ignored and RLIMIT_FSIZE at 1,500 B,
+# set in this child only, so a write past 1,500 B fails with EFBIG.
+FILE_SIZE_LIMITED = """
+import resource, signal, sys
+from popbias.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1500, 1500))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_run_failed_report_write_keeps_the_earlier_reports(tmp_path):
+    # report.txt fits under the limit and report.kv does not
+    config = Path(__file__).parent / "data" / "golden_config.json"
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--seed", "9", "--out", str(out)]) == 0
+    earlier = {path.name: path.read_bytes() for path in out.iterdir()}
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", FILE_SIZE_LIMITED, "run", "--config", str(config),
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 2, done.stderr
+    assert f"cannot write {out / 'report.kv'}: [Errno 27]" in done.stderr
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
+
+
 def test_synth_then_split_pipeline(tmp_path, capsys):
     out = tmp_path / "synth"
     rc = main([
@@ -145,8 +174,8 @@ def test_synth_then_split_pipeline(tmp_path, capsys):
     assert train.num_pairs + len(masked_lines) == ds.num_pairs
 
 
-def run_config(tmp_path, models):
-    return write(tmp_path / "config.json", json.dumps({
+def run_config(tmp_path, models, name="config.json"):
+    return write(tmp_path / name, json.dumps({
         "seed": 3,
         "dataset": {
             "synthetic": {"num_users": 30, "num_artists": 60,
@@ -247,6 +276,15 @@ def test_tune_command(tmp_path, capsys):
     saved = json.loads((out / "tuning.json").read_text())
     assert "wrmf" in saved
     assert len(saved["wrmf"]["log"]) == 2
+
+
+def test_tune_failure_names_its_stage(tmp_path, capsys):
+    config = write(tmp_path / "config.json", json.dumps({
+        "dataset": {"interactions": str(tmp_path / "missing.tsv")},
+        "models": [{"name": "wrmf", "grid": [{"factors": 2}]}],
+    }))
+    assert main(["tune", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: stage 'dataset': cannot read ")
 
 
 def test_tune_without_grid_reads_no_data(tmp_path, capsys, monkeypatch):
@@ -610,11 +648,14 @@ def _out_of_memory(*args, **kwargs):
 @pytest.mark.parametrize("argv, patched, message", [
     (["run", "--config", "CONFIG"], (MultiVaeRecommender, "fit"), "stage 'fit:multivae': "),
     (["ingest", "--data", "DATA"], (popbias.cli, "ingest_interactions"), ""),
-], ids=["run learner", "ingest"])
+    (["tune", "--config", "GRID"], (MultiVaeRecommender, "fit"), "stage 'tune:multivae': "),
+], ids=["run learner", "ingest", "tune learner"])
 def test_out_of_memory_exits_3_with_one_line(tmp_path, data_file, capsys, monkeypatch, argv,
                                              patched, message):
     monkeypatch.setattr(*patched, _out_of_memory)
-    paths = {"DATA": str(data_file), "CONFIG": str(run_config(tmp_path, [{"name": "multivae"}]))}
+    paths = {"DATA": str(data_file), "CONFIG": str(run_config(tmp_path, [{"name": "multivae"}])),
+             "GRID": str(run_config(tmp_path, [{"name": "multivae", "grid": [{"epochs": 1}]}],
+                                    "grid.json"))}
     assert main([paths.get(arg, arg) for arg in argv]) == 3
     err = capsys.readouterr().err
     assert err == (f"error: {message}out of memory (Unable to allocate 14.7 MiB for an array "
