@@ -103,8 +103,8 @@ def _cmd_split(args) -> int:
     train_path = out / "train.tsv"
     masked_path = out / "masked.tsv"
     write_interactions(split.train, train_path)
-    write_lines(masked_path, (f"{dataset.users[u]}\t{dataset.artists[artist]}"
-                              for u, hidden in enumerate(split.masked) for artist in hidden))
+    write_lines({masked_path: (f"{dataset.users[u]}\t{dataset.artists[artist]}"
+                               for u, hidden in enumerate(split.masked) for artist in hidden)})
     n_masked = sum(len(m) for m in split.masked)
     print(f"train pairs\t{split.train.num_pairs}")
     print(f"masked pairs\t{n_masked}")
@@ -135,8 +135,8 @@ def _cmd_tune(args) -> int:
             score = "failed" if entry["mean_ap"] is None else f"{entry['mean_ap']:.6f}"
             print(f"  {json.dumps(entry['hyperparams'], sort_keys=True)}\t{score}")
     if args.out:
-        path = write_lines(Path(args.out) / "tuning.json",
-                           [json.dumps(results, indent=2, sort_keys=True)])
+        (path,) = write_lines({Path(args.out) / "tuning.json":
+                               [json.dumps(results, indent=2, sort_keys=True)]})
         print(f"wrote {path}")
     return 0
 
@@ -191,10 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic long-tail dataset")
     p.add_argument("--users", type=ascii_int, required=True)
     p.add_argument("--artists", type=ascii_int, required=True)
-    p.add_argument("--exponent", type=ascii_float, default=1.0)
-    p.add_argument("--profile-min", type=ascii_int, default=10)
-    p.add_argument("--profile-max", type=ascii_int, default=40)
-    p.add_argument("--mix", type=ascii_float, nargs=3, default=[0.3, 1.0, 2.2],
+    p.add_argument("--exponent", type=ascii_float, default=SyntheticConfig.zipf_exponent)
+    p.add_argument("--profile-min", type=ascii_int,
+                   default=SyntheticConfig.profile_size_range[0])
+    p.add_argument("--profile-max", type=ascii_int,
+                   default=SyntheticConfig.profile_size_range[1])
+    p.add_argument("--mix", type=ascii_float, nargs=3, default=SyntheticConfig.mainstream_mix,
                    metavar=("LOW", "MED", "HIGH"))
     p.add_argument("--seed", type=ascii_int, default=0)
     p.add_argument("--out", required=True, help="output directory")
@@ -246,7 +248,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
-        print(f"error: out of memory ({exc})", file=sys.stderr)
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import resource
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -133,8 +134,8 @@ class TailStats:
 
     def write_coverage(self, path):
         """Export (fraction_of_artists, fraction_of_interactions) pairs as TSV."""
-        return write_lines(path, ["# fraction_of_artists\tfraction_of_interactions"]
-                           + [f"{f:.6f}\t{c:.6f}" for f, c in self.coverage_curve])
+        return write_lines({path: ["# fraction_of_artists\tfraction_of_interactions"]
+                                  + [f"{f:.6f}\t{c:.6f}" for f, c in self.coverage_curve]})[0]
 
 
 @dataclass(frozen=True)
@@ -176,18 +177,24 @@ class SyntheticConfig:
 
 
 def require_memory(nbytes: int, what: str) -> None:
-    """Raise ``NumericalError`` when ``nbytes`` exceed the machine's physical memory.
+    """Raise ``NumericalError`` when ``nbytes`` exceed the process's memory budget.
 
-    Callers pass the bytes of the arrays they are about to allocate (the
-    synthetic generator, each learner's state), so a request that cannot fit
-    fails with a message instead of NumPy's ``MemoryError`` or the kernel's
-    out-of-memory killer.
+    The budget is the smallest of physical memory and the finite soft limits
+    ``RLIMIT_AS`` and ``RLIMIT_DATA``, and the message names the one that
+    binds.  Callers pass the bytes of the arrays they are about to allocate
+    (the synthetic generator, each learner's state), so a request that
+    cannot fit fails with a message instead of NumPy's ``MemoryError`` or
+    the kernel's out-of-memory killer.
     """
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > physical:
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = "physical memory"
+    for name in ("RLIMIT_AS", "RLIMIT_DATA"):
+        soft, _ = resource.getrlimit(getattr(resource, name))
+        if soft != resource.RLIM_INFINITY and soft < budget:
+            budget, limit = soft, f"the {name} soft limit"
+    if nbytes > budget:
         raise NumericalError(
-            f"{what} needs {nbytes:,} bytes, more than the {physical:,} bytes of "
-            f"physical memory"
+            f"{what} needs {nbytes:,} bytes, more than the {budget:,} bytes of {limit}"
         )
 
 
@@ -215,56 +222,38 @@ def read_lines(path, newline=None):
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def write_lines(path, lines, *, move=True) -> Path:
-    """Write ``lines`` as UTF-8 text, one per line, and return the path.
+def write_lines(files) -> tuple[Path, ...]:
+    """Write each ``{path: lines}`` entry as UTF-8 text, a newline after each line.
 
-    The lines go to ``<name>.tmp`` in the target directory, and ``os.replace``
-    then moves that onto ``path``, so a failed write leaves ``path`` as it was
-    and no temporary file.  With ``move=False`` the temporary file stays and
-    its path is returned, for a caller that moves several files only once all
-    are written.  The parent directory is created when missing.  A path that
-    cannot be written raises ``ValidationError`` naming it.  Every file
-    popbias writes goes through here.
+    Returns the paths in the mapping's order.  A target that is a directory
+    is rejected before anything is written.  Each file is written to
+    ``<name>.tmp`` beside its target, creating the parent directory when
+    missing, and ``os.replace`` moves the temporary files into place only
+    once all are written.  So a failed write leaves every target as it was;
+    should a move still fail, the files moved before it stay replaced.  A
+    failure of any kind leaves no temporary file.  A path that cannot be
+    written raises ``ValidationError`` naming it.  Every file popbias writes
+    goes through here.
     """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp")
+    paths = tuple(Path(path) for path in files)
+    temps = []
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        try:
+        for path in paths:
+            if path.is_dir():
+                raise ValidationError(f"cannot write {path}: it is a directory")
+        for path, lines in zip(paths, files.values()):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f"{path.name}.tmp")
             with open(tmp, "w", encoding="utf-8") as fh:
+                temps.append(tmp)
                 fh.writelines(f"{line}\n" for line in lines)
-            if move:
-                os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        for path, tmp in zip(paths, temps):
+            os.replace(tmp, path)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
-    return path if move else tmp
-
-
-def write_report_files(out_dir, stem: str, text: str, kv_lines) -> tuple[Path, Path]:
-    """Write ``<stem>.txt`` and ``<stem>.kv``, moving neither into place before both are written.
-
-    A failed write leaves the earlier files as they were and no temporary
-    file.  When a move fails, the file already moved is removed too.
-    ``text`` ends with a newline, which ``write_lines`` puts back.
-    """
-    paths = (Path(out_dir) / f"{stem}.txt", Path(out_dir) / f"{stem}.kv")
-    temps, moved = [], []
-    try:
-        for path, lines in zip(paths, ([text.removesuffix("\n")], kv_lines)):
-            temps.append(write_lines(path, lines, move=False))
-        for tmp, path in zip(temps, paths):
-            try:
-                os.replace(tmp, path)
-            except OSError as exc:
-                raise ValidationError(f"cannot write {path}: {exc}") from exc
-            moved.append(path)
-    except BaseException:
-        for path in temps + moved:
-            path.unlink(missing_ok=True)
-        raise
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
     return paths
 
 
@@ -426,14 +415,13 @@ def write_interactions(dataset: InteractionDataset, path, group_path=None):
     if group_path is not None and dataset.group_labels is None:
         raise ValidationError("dataset has no group labels to write")
     indptr, indices, data = dataset.counts.indptr, dataset.counts.indices, dataset.counts.data
-    write_lines(path, (
-        f"{user_id}\t{dataset.artists[indices[k]]}\t{data[k]}"
-        for u, user_id in enumerate(dataset.users)
-        for k in range(indptr[u], indptr[u + 1])
-    ))
+    files = {path: (f"{user_id}\t{dataset.artists[indices[k]]}\t{data[k]}"
+                    for u, user_id in enumerate(dataset.users)
+                    for k in range(indptr[u], indptr[u + 1]))}
     if group_path is not None:
-        write_lines(group_path, (f"{user_id}\t{label}"
-                                 for user_id, label in zip(dataset.users, dataset.group_labels)))
+        files[group_path] = (f"{user_id}\t{label}"
+                             for user_id, label in zip(dataset.users, dataset.group_labels))
+    write_lines(files)
 
 
 def compute_popularity(dataset: InteractionDataset) -> np.ndarray:
@@ -540,9 +528,9 @@ def long_tail_stats(dataset: InteractionDataset) -> TailStats:
 def emit_tail_plot_data(dataset: InteractionDataset, out_dir):
     """Write the popularity-by-rank series and the coverage curve as TSV files."""
     phi = compute_popularity(dataset)
-    rank_path = write_lines(Path(out_dir) / "tail_rank_phi.tsv", chain(["# rank\tphi"], (
+    (rank_path,) = write_lines({Path(out_dir) / "tail_rank_phi.tsv": chain(["# rank\tphi"], (
         f"{rank}\t{value:.6f}" for rank, value in enumerate(np.sort(phi)[::-1], start=1)
-    )))
+    ))})
     stats = long_tail_stats(dataset)
     coverage_path = stats.write_coverage(Path(out_dir) / "tail_coverage.tsv")
     return stats, (rank_path, coverage_path)

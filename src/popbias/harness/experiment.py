@@ -38,7 +38,6 @@ from ..corpus import (
     ingest_interactions,
     split_mask,
     write_lines,
-    write_report_files,
 )
 from ..errors import NumericalError, PopBiasError, TuningError, UndefinedMetricError, ValidationError
 # RankedCandidates, auc and average_precision_at_k are not called here: they
@@ -336,7 +335,8 @@ class ExperimentReport:
         return "\n".join(lines)
 
     def write(self, out_dir) -> tuple[Path, Path]:
-        return write_report_files(out_dir, "report", self.to_text(), self.to_kv_lines())
+        return write_lines({Path(out_dir) / "report.txt": [self.to_text().removesuffix("\n")],
+                            Path(out_dir) / "report.kv": self.to_kv_lines()})
 
 
 # Fixes the report's group order: each model's groups are written in this
@@ -495,7 +495,8 @@ def _stage(name, fn, *args, **kwargs):
         exc.args = (f"stage {name!r}: {exc}",)
         raise
     except MemoryError as exc:
-        raise NumericalError(f"stage {name!r}: out of memory ({exc})") from exc
+        detail = f" ({exc})" if str(exc) else ""
+        raise NumericalError(f"stage {name!r}: out of memory{detail}") from exc
 
 
 def _load_dataset(config: ExperimentConfig) -> InteractionDataset:

@@ -28,9 +28,8 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.special import stdtr
 
-from ..corpus import GROUP_LABELS, ascii_float, read_lines, write_report_files
+from ..corpus import GROUP_LABELS, ascii_float, read_lines, write_lines
 from ..errors import ParseError, PopBiasError, ValidationError
 from ..metrics import delta_gap
 
@@ -278,7 +277,10 @@ def welch_one_tailed(profile_means, rec_means) -> tuple[float, float]:
     t = float((b.mean() - a.mean()) / math.sqrt(se2))
     df = se2**2 / ((va / len(a)) ** 2 / (len(a) - 1) + (vb / len(b)) ** 2 / (len(b) - 1))
     # the value of scipy.stats.t.sf(t, df), without importing scipy.stats,
-    # which would be most of the command's import time
+    # which would be most of the command's import time; imported here, so
+    # that only gapcalc loads scipy.special
+    from scipy.special import stdtr
+
     return t, float(stdtr(df, -t))
 
 
@@ -344,7 +346,8 @@ class GapcalcReport:
         return "\n".join(lines)
 
     def write(self, out_dir) -> tuple[Path, Path]:
-        return write_report_files(out_dir, "gapcalc", self.to_text(), self.to_kv_lines())
+        return write_lines({Path(out_dir) / "gapcalc.txt": [self.to_text().removesuffix("\n")],
+                            Path(out_dir) / "gapcalc.kv": self.to_kv_lines()})
 
 
 def gapcalc(records: SimulatedRecords) -> GapcalcReport:

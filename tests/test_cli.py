@@ -9,8 +9,8 @@ import pytest
 
 import popbias.cli
 import popbias.harness.experiment
-from popbias.cli import main
-from popbias.corpus import ingest_interactions
+from popbias.cli import build_parser, main
+from popbias.corpus import SyntheticConfig, ingest_interactions
 from popbias.models.base import PopularityRecommender
 from popbias.models.multivae import MultiVaeRecommender
 from popbias.models.slim import SlimRecommender
@@ -733,3 +733,93 @@ def test_run_out_name_too_long_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: [Errno 36] File name too long"), err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, blocked, kept, change", [
+    ("run", "report.kv", "report.txt", ["--seed", "9"]),
+    ("gapcalc", "gapcalc.kv", "gapcalc.txt", ["--records", "OTHER"]),
+    ("synth", "groups.tsv", "interactions.tsv", ["--seed", "5"]),
+])
+def test_rerun_onto_a_directory_target_keeps_the_earlier_files(tmp_path, data_file, capsys,
+                                                               command, blocked, kept, change):
+    out = tmp_path / "out"
+    argv = OUT_COMMANDS[command](tmp_path, data_file)
+    assert main(argv + ["--out", str(out)]) == 0
+    earlier = (out / kept).read_bytes()
+    (out / blocked).unlink()
+    (out / blocked).mkdir()
+    other = write(tmp_path / "other.csv", records_file(tmp_path).read_text().replace(
+        "profile-seed,X,50,0.5", "profile-seed,X,40,0.4"))
+    rerun = argv + [str(other) if arg == "OTHER" else arg for arg in change]
+    # the rerun would write other bytes where nothing blocks it
+    assert main(rerun + ["--out", str(tmp_path / "fresh")]) == 0
+    assert (tmp_path / "fresh" / kept).read_bytes() != earlier
+    capsys.readouterr()
+    assert main(rerun + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"cannot write {out / blocked}: it is a directory\n"), err
+    assert (out / kept).read_bytes() == earlier
+    assert (out / blocked).is_dir()
+    assert not list(out.glob("*.tmp"))
+
+
+# Runs the CLI on argv[1:] with RLIMIT_AS at 1 GiB, set in this child only.
+ADDRESS_SPACE_LIMITED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from popbias.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_synth_past_the_address_space_limit_exits_3_before_allocating(tmp_path):
+    out = tmp_path / "out"
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", ADDRESS_SPACE_LIMITED, "synth", "--users", "3", "--artists",
+         "12000000", "--profile-min", "1", "--profile-max", "2", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+             "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 3, done.stderr
+    assert re.fullmatch(r"error: a synthetic dataset of 3 users x 12,000,000 artists needs "
+                        r"[\d,]+ bytes, more than the 1,073,741,824 bytes of the RLIMIT_AS soft "
+                        r"limit\n", done.stderr), done.stderr
+    assert not out.exists()
+
+
+def _bare_out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("argv, patched, message", [
+    (["run", "--config", "CONFIG"], (MultiVaeRecommender, "fit"), "stage 'fit:multivae': "),
+    (["ingest", "--data", "DATA"], (popbias.cli, "ingest_interactions"), ""),
+], ids=["run learner", "ingest"])
+def test_out_of_memory_without_a_message_prints_no_parentheses(tmp_path, data_file, capsys,
+                                                               monkeypatch, argv, patched,
+                                                               message):
+    monkeypatch.setattr(*patched, _bare_out_of_memory)
+    paths = {"DATA": str(data_file), "CONFIG": str(run_config(tmp_path, [{"name": "multivae"}]))}
+    assert main([paths.get(arg, arg) for arg in argv]) == 3
+    assert capsys.readouterr().err == f"error: {message}out of memory\n"
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # only gapcalc's Welch test uses scipy.special, and it imports it when called
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, popbias.cli; print('scipy.special' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.stdout == "False\n", done.stderr
+
+
+def test_synth_option_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["synth", "--users", "3", "--artists", "50", "--out", "x"])
+    config = SyntheticConfig(num_users=3, num_artists=50)
+    assert args.exponent == config.zipf_exponent
+    assert (args.profile_min, args.profile_max) == config.profile_size_range
+    assert tuple(args.mix) == config.mainstream_mix

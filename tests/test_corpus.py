@@ -1,4 +1,5 @@
 import hashlib
+import resource
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from popbias import corpus
 from popbias.corpus import (
     COVERAGE_FRACTIONS,
     InteractionDataset,
@@ -16,11 +18,12 @@ from popbias.corpus import (
     ingest_interactions,
     long_tail_stats,
     read_group_file,
+    require_memory,
     split_mask,
     user_mainstreaminess,
     write_interactions,
 )
-from popbias.errors import ParseError, ValidationError
+from popbias.errors import NumericalError, ParseError, ValidationError
 
 from conftest import bom_copy, make_dataset, random_dataset
 
@@ -517,3 +520,61 @@ class TestSynthetic:
             return float(np.mean(vals))
 
         assert mean_coverage(0.6) < mean_coverage(1.2) < mean_coverage(2.0)
+
+
+class TestWriteLines:
+    def test_writes_every_file_and_returns_the_paths_in_order(self, tmp_path):
+        files = {tmp_path / "b.txt": ["one", "two"], str(tmp_path / "sub" / "a.txt"): iter([])}
+        assert corpus.write_lines(files) == (tmp_path / "b.txt", tmp_path / "sub" / "a.txt")
+        assert (tmp_path / "b.txt").read_bytes() == b"one\ntwo\n"
+        assert (tmp_path / "sub" / "a.txt").read_bytes() == b""
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_a_directory_target_is_rejected_before_anything_is_written(self, tmp_path):
+        first, blocked = tmp_path / "first.txt", tmp_path / "blocked.txt"
+        first.write_bytes(b"earlier\n")
+        blocked.mkdir()
+        with pytest.raises(ValidationError, match=f"^cannot write {blocked}: it is a directory$"):
+            corpus.write_lines({first: ["new"], blocked: ["new"]})
+        assert first.read_bytes() == b"earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked.txt", "first.txt"]
+
+    def test_a_failure_while_writing_a_later_file_moves_none(self, tmp_path):
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        first.write_bytes(b"earlier\n")
+
+        def failing_lines():
+            yield "written"
+            raise RuntimeError("lines failed")
+
+        with pytest.raises(RuntimeError, match="lines failed"):
+            corpus.write_lines({first: ["new"], second: failing_lines()})
+        assert first.read_bytes() == b"earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["first.txt"]
+
+    def test_an_unwritable_file_is_named(self, tmp_path):
+        first, blocked = tmp_path / "first.txt", tmp_path / "blocked.txt"
+        (tmp_path / "blocked.txt.tmp").mkdir()  # the temporary file cannot be opened
+        with pytest.raises(ValidationError, match=f"^cannot write {blocked}: "):
+            corpus.write_lines({first: ["new"], blocked: ["new"]})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked.txt.tmp"]
+
+
+@pytest.mark.parametrize("soft, named", [
+    ({}, "physical memory"),
+    ({"RLIMIT_AS": 3000, "RLIMIT_DATA": 2000}, "the RLIMIT_DATA soft limit"),
+    ({"RLIMIT_AS": 2000, "RLIMIT_DATA": 3000}, "the RLIMIT_AS soft limit"),
+    ({"RLIMIT_AS": 5000}, "physical memory"),
+], ids=["no limit", "data smallest", "address space smallest", "limit above physical"])
+def test_require_memory_budget_is_the_smallest_limit(monkeypatch, soft, named):
+    monkeypatch.setattr("popbias.corpus.os.sysconf",
+                        {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 4000}.__getitem__)
+    limits = {getattr(resource, name): value for name, value in soft.items()}
+    monkeypatch.setattr("popbias.corpus.resource.getrlimit",
+                        lambda which: (limits.get(which, resource.RLIM_INFINITY),
+                                       resource.RLIM_INFINITY))
+    budget = min([4000, *soft.values()])
+    require_memory(budget, "the state")
+    with pytest.raises(NumericalError, match=f"^the state needs {budget + 1:,} bytes, "
+                                             f"more than the {budget:,} bytes of {named}$"):
+        require_memory(budget + 1, "the state")
