@@ -25,6 +25,7 @@ from .corpus import (
     emit_tail_plot_data,
     generate_synthetic,
     ingest_interactions,
+    interaction_lines,
     long_tail_stats,
     read_lines,
     split_mask,
@@ -102,8 +103,9 @@ def _cmd_split(args) -> int:
     out = Path(args.out)
     train_path = out / "train.tsv"
     masked_path = out / "masked.tsv"
-    write_interactions(split.train, train_path)
-    write_lines({masked_path: (f"{dataset.users[u]}\t{dataset.artists[artist]}"
+    # one write_lines, so a failure leaves both files of the earlier split
+    write_lines({train_path: interaction_lines(split.train),
+                 masked_path: (f"{dataset.users[u]}\t{dataset.artists[artist]}"
                                for u, hidden in enumerate(split.masked) for artist in hidden)})
     n_masked = sum(len(m) for m in split.masked)
     print(f"train pairs\t{split.train.num_pairs}")

@@ -77,6 +77,18 @@ class InteractionDataset:
             if bad:
                 raise ValidationError(f"unknown group labels: {sorted(bad)}")
 
+    def _with_counts(self, counts: sp.csr_matrix) -> "InteractionDataset":
+        """This dataset's identifiers and group labels, shared, over ``counts``.
+
+        Nothing is copied or checked again: ``counts`` must already keep the
+        invariants (int64 entries >= 1 with sorted indices, a non-empty row
+        per user), as the train split of a valid dataset does.
+        """
+        train = object.__new__(InteractionDataset)
+        train.users, train.artists, train.group_labels = self.users, self.artists, self.group_labels
+        train.counts = counts
+        return train
+
     @property
     def num_users(self) -> int:
         return len(self.users)
@@ -132,10 +144,14 @@ class TailStats:
                 return c
         raise ValidationError(f"coverage curve not sampled at fraction {fraction}")
 
+    def coverage_lines(self) -> list[str]:
+        """The (fraction_of_artists, fraction_of_interactions) pairs as TSV lines."""
+        return (["# fraction_of_artists\tfraction_of_interactions"]
+                + [f"{f:.6f}\t{c:.6f}" for f, c in self.coverage_curve])
+
     def write_coverage(self, path):
-        """Export (fraction_of_artists, fraction_of_interactions) pairs as TSV."""
-        return write_lines({path: ["# fraction_of_artists\tfraction_of_interactions"]
-                                  + [f"{f:.6f}\t{c:.6f}" for f, c in self.coverage_curve]})[0]
+        """Export ``coverage_lines`` as a TSV file."""
+        return write_lines({path: self.coverage_lines()})[0]
 
 
 @dataclass(frozen=True)
@@ -405,19 +421,27 @@ def read_group_file(path) -> dict[str, str]:
     return groups
 
 
-def write_interactions(dataset: InteractionDataset, path, group_path=None):
-    """Write a dataset back to the tab-separated interchange format.
+def interaction_lines(dataset: InteractionDataset):
+    """Yield a dataset's lines in the tab-separated interchange format.
 
-    Rows come out in (user index, artist index) order; re-ingesting the file
+    Rows come out in (user index, artist index) order; re-ingesting them
     reproduces the dataset whenever its identifier maps are sorted (always
     true for ingested and generated datasets).
     """
+    indptr, indices, data = dataset.counts.indptr, dataset.counts.indices, dataset.counts.data
+    for u, user_id in enumerate(dataset.users):
+        for k in range(indptr[u], indptr[u + 1]):
+            yield f"{user_id}\t{dataset.artists[indices[k]]}\t{data[k]}"
+
+
+def write_interactions(dataset: InteractionDataset, path, group_path=None):
+    """Write a dataset's ``interaction_lines``, and its group labels to ``group_path``.
+
+    Both files go through one ``write_lines``, so a failure leaves both as they were.
+    """
     if group_path is not None and dataset.group_labels is None:
         raise ValidationError("dataset has no group labels to write")
-    indptr, indices, data = dataset.counts.indptr, dataset.counts.indices, dataset.counts.data
-    files = {path: (f"{user_id}\t{dataset.artists[indices[k]]}\t{data[k]}"
-                    for u, user_id in enumerate(dataset.users)
-                    for k in range(indptr[u], indptr[u + 1]))}
+    files = {path: interaction_lines(dataset)}
     if group_path is not None:
         files[group_path] = (f"{user_id}\t{label}"
                              for user_id, label in zip(dataset.users, dataset.group_labels))
@@ -477,7 +501,9 @@ def split_mask(
     Each user independently masks round(holdout_fraction * profile size)
     artists (at least 1 when the profile has >= 2 artists, never the whole
     profile); single-artist users keep their artist in train.  Deterministic
-    given ``seed``; each user draws from its own RNG stream.
+    given ``seed``; each user draws from its own RNG stream.  The train set
+    shares ``dataset``'s identifier lists and group labels, which it keeps
+    valid, and is not checked again.
     """
     if not 0 < holdout_fraction < 1:
         raise ValidationError(
@@ -500,11 +526,9 @@ def split_mask(
         positions = rng.choice(size, size=m, replace=False)
         train_data[lo + positions] = 0
         masked.append(np.sort(indices[lo + positions]))
-    train = InteractionDataset(
-        dataset.users, dataset.artists,
-        sp.csr_matrix((train_data, indices, indptr), shape=counts.shape), dataset.group_labels
-    )
-    return SplitDataset(train=train, masked=masked)
+    train_counts = sp.csr_matrix((train_data, indices.copy(), indptr.copy()), shape=counts.shape)
+    train_counts.eliminate_zeros()
+    return SplitDataset(train=dataset._with_counts(train_counts), masked=masked)
 
 
 def long_tail_stats(dataset: InteractionDataset) -> TailStats:
@@ -526,14 +550,18 @@ def long_tail_stats(dataset: InteractionDataset) -> TailStats:
 
 
 def emit_tail_plot_data(dataset: InteractionDataset, out_dir):
-    """Write the popularity-by-rank series and the coverage curve as TSV files."""
+    """Write the popularity-by-rank series and the coverage curve as TSV files.
+
+    Both go through one ``write_lines``, so a failure leaves both as they were.
+    """
     phi = compute_popularity(dataset)
-    (rank_path,) = write_lines({Path(out_dir) / "tail_rank_phi.tsv": chain(["# rank\tphi"], (
-        f"{rank}\t{value:.6f}" for rank, value in enumerate(np.sort(phi)[::-1], start=1)
-    ))})
     stats = long_tail_stats(dataset)
-    coverage_path = stats.write_coverage(Path(out_dir) / "tail_coverage.tsv")
-    return stats, (rank_path, coverage_path)
+    paths = write_lines({
+        Path(out_dir) / "tail_rank_phi.tsv": chain(["# rank\tphi"], (
+            f"{rank}\t{value:.6f}" for rank, value in enumerate(np.sort(phi)[::-1], start=1))),
+        Path(out_dir) / "tail_coverage.tsv": stats.coverage_lines(),
+    })
+    return stats, paths
 
 
 def generate_synthetic(config: SyntheticConfig, seed: int) -> InteractionDataset:

@@ -9,6 +9,8 @@ row x (binarized, L2-normalized) at a fixed standard-normal draw eps is
 with beta annealed linearly from 0 over a configured number of optimizer
 steps.  All gradients are computed analytically in closed form (no autograd
 dependency), which keeps training reproducible bit for bit given a seed.
+Training holds the parameters, one n x h gradient, one batch x n buffer and
+a scratch block of a few rows (see ``MultiVaeRecommender.fit``).
 """
 
 from __future__ import annotations
@@ -51,6 +53,16 @@ def kl_gaussian(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(mu**2 + np.exp(logvar) - logvar - 1.0, axis=1)
 
 
+# Float64 entries in the scratch block the softmax and the target's row terms
+# run in, a few rows of the batch at a time (at least one row).
+_BLOCK_ENTRIES = 2**17
+
+
+def _block_rows(batch: int, n: int) -> int:
+    """Rows of the softmax's scratch block for batches of up to ``batch`` rows of ``n``."""
+    return max(1, min(batch, _BLOCK_ENTRIES // n))
+
+
 class _SparseRows:
     """A batch's binarized, L2-normalized rows, held as their non-zeros.
 
@@ -60,70 +72,78 @@ class _SparseRows:
     where they fit.  An entry is kept when its draw in ``uniforms`` (batch x
     n) is below ``keep_prob``; the encoder sees ``value[k] * kept /
     keep_prob`` at each entry, which is the reference's ``target * mask /
-    keep_prob`` there, and +0.0 elsewhere.
+    keep_prob`` there, and +0.0 elsewhere.  With ``uniforms`` None (keep_prob
+    1, no draws) every entry is kept and the encoder sees the target.
 
     Every pass over the entries goes span by span, a span being consecutive
     rows with at most n entries together (or one row), so no temporary is
     larger than a few rows of the block; realistic batches are one span.
     """
 
-    def __init__(self, train: InteractionDataset, users, n: int, uniforms: np.ndarray,
-                 keep_prob: float):
+    def __init__(self, train: InteractionDataset, users, n: int, uniforms, keep_prob: float):
         self.count = np.diff(train.counts.indptr)[users]
         self.value = 1.0 / np.sqrt(self.count)
-        ends = np.cumsum(self.count)
-        self._spans, a = [], 0
-        while a < len(users):
-            begin = ends[a] - self.count[a]
-            c = max(a + 1, int(np.searchsorted(ends, begin + n, "right")))
-            self._spans.append((slice(int(begin), int(ends[c - 1])), slice(a, c)))
-            a = c
-        self.nz = np.empty(int(ends[-1]), np.int32 if len(users) * n < 2**31 else np.int64)
-        self.kept = np.empty(self.nz.size, dtype=bool)
+        self._ends = np.cumsum(self.count)
+        self._n = n
+        self.nz = np.empty(int(self._ends[-1]), np.int32 if len(users) * n < 2**31 else np.int64)
+        self.kept = None if uniforms is None else np.empty(self.nz.size, dtype=bool)
         self.keep_prob = keep_prob
-        drawn = uniforms.reshape(-1)
-        for entries, rows in self._spans:
+        drawn = None if uniforms is None else uniforms.reshape(-1)
+        for entries, rows in self._spans(0, len(users)):
             pos = np.repeat(np.arange(rows.start, rows.stop) * n, self.count[rows])
             pos += train.counts[users[rows]].indices
             self.nz[entries] = pos
-            np.less(drawn[pos], keep_prob, out=self.kept[entries])
+            if drawn is not None:
+                np.less(drawn[pos], keep_prob, out=self.kept[entries])
+
+    def _spans(self, lo, hi):
+        """Yield ``(entries, rows)`` slices for the spans of rows ``lo .. hi``."""
+        ends, count = self._ends, self.count
+        while lo < hi:
+            begin = int(ends[lo] - count[lo])
+            stop = min(hi, max(lo + 1, int(np.searchsorted(ends, begin + self._n, "right"))))
+            yield slice(begin, int(ends[stop - 1])), slice(lo, stop)
+            lo = stop
 
     def _values(self, rows):
         return np.repeat(self.value[rows], self.count[rows])
 
-    def write_target(self, out: np.ndarray) -> None:
-        """Overwrite ``out`` (batch x n) with the target rows."""
+    def write_target(self, out: np.ndarray, first: int = 0) -> None:
+        """Overwrite ``out`` (r x n) with target rows ``first .. first + r``."""
         out.fill(0.0)
         flat = out.reshape(-1)
-        for entries, rows in self._spans:
-            flat[self.nz[entries]] = self._values(rows)
+        for entries, rows in self._spans(first, first + len(out)):
+            flat[self.nz[entries] - first * self._n] = self._values(rows)
 
     def write_input(self, out: np.ndarray) -> None:
         """Overwrite ``out`` (batch x n) with the encoder's input rows."""
         out.fill(0.0)
         flat = out.reshape(-1)
-        for entries, rows in self._spans:
+        for entries, rows in self._spans(0, len(out)):
             fed = self._values(rows)
-            fed *= self.kept[entries]
-            fed /= self.keep_prob
+            if self.kept is not None:
+                fed *= self.kept[entries]
+                fed /= self.keep_prob
             flat[self.nz[entries]] = fed
 
     def subtract_target(self, out: np.ndarray) -> None:
         """``out -= target`` at the non-zeros: x - (+0.0) is x everywhere else."""
         flat = out.reshape(-1)
-        for entries, rows in self._spans:
+        for entries, rows in self._spans(0, len(out)):
             flat[self.nz[entries]] -= self._values(rows)
 
 
-def _forward_loss(params, rows, eps, beta, logits, ex):
+def _forward_loss(params, rows, eps, beta, logits, scratch):
     """Per-row (total, nll, kl) and the activations; log-probabilities left in ``logits``.
 
     ``rows`` writes the encoder's input (which may be a dropped-out copy of
     the target) and the target, the rows the multinomial term reconstructs.
-    The batch x n results go into ``logits`` and the scratch ``ex``, never a
-    new array: the input goes into ``logits`` and is read before the decoder
-    overwrites it, and the target goes into ``ex`` once the softmax is done
-    with it.  The last activation is the target's per-row sum.
+    The input goes into ``logits`` (batch x n) and is read before the decoder
+    overwrites it.  The softmax and the target's terms are then taken a row
+    block at a time: ``scratch`` (r x n) holds a block's exponentials and
+    then its target rows, so nothing else batch x n is allocated.  A row's
+    sums do not depend on the rows summed beside it.  The last activation is
+    the target's per-row sum.
     """
     rows.write_input(logits)
     h1 = np.tanh(logits @ params["w_enc"].T + params["b_enc"])
@@ -133,31 +153,43 @@ def _forward_loss(params, rows, eps, beta, logits, ex):
     h2 = np.tanh(z @ params["w_dec"].T + params["b_dec"])
     np.matmul(h2, params["w_out"].T, out=logits)
     logits += params["b_out"]
-    logits -= logits.max(axis=1, keepdims=True)
-    np.exp(logits, out=ex)
-    logits -= np.log(ex.sum(axis=1, keepdims=True))
-    rows.write_target(ex)
-    # summed over the dense row, so in the reference's pairwise order
-    weight_rows = ex.sum(axis=1, keepdims=True)
-    ex *= logits  # target * log_probs: IEEE multiplication is commutative
-    nll_rows = -np.sum(ex, axis=1)
+    b, r = len(logits), len(scratch)
+    weight_rows, nll_rows = np.empty((b, 1)), np.empty(b)
+    for lo in range(0, b, r):
+        part, ex = logits[lo : lo + r], scratch[: min(r, b - lo)]
+        part -= part.max(axis=1, keepdims=True)
+        np.exp(part, out=ex)
+        part -= np.log(ex.sum(axis=1, keepdims=True))
+        rows.write_target(ex, lo)
+        # summed over the dense row, so in the reference's pairwise order
+        ex.sum(axis=1, keepdims=True, out=weight_rows[lo : lo + r])
+        ex *= part  # target * log_probs: IEEE multiplication is commutative
+        ex.sum(axis=1, out=nll_rows[lo : lo + r])
+    np.negative(nll_rows, out=nll_rows)
     kl_rows = kl_gaussian(mu, logvar)
     return (nll_rows + beta * kl_rows, nll_rows, kl_rows), (h1, mu, logvar, z, h2, weight_rows)
 
 
-def _backward(params, acts, rows, eps, beta, log_probs, ex, grad, emit):
+def _backward(params, acts, rows, eps, beta, log_probs, grad, emit):
     """Hand each parameter's batch-summed gradient to ``emit(key, g)`` as it is made.
 
-    ``ex`` ends up holding the logit gradient.  ``log_probs`` is dead once
-    exponentiated, so it takes the encoder's input again for ``w_enc``'s
-    gradient.  ``grad`` (n * h floats) holds ``w_out``'s gradient and then
-    ``w_enc``'s, so ``emit`` must be done with the first before the second is
-    written.  ``w_out`` is read only before it is emitted, so ``emit`` may
-    update it in place.
+    ``log_probs`` is exponentiated in place into the logit gradient; once
+    that has given ``w_out``'s gradient, ``b_out``'s and the decoder's
+    back-propagated rows, it is dead and takes the encoder's input again for
+    ``w_enc``'s gradient.  ``grad`` (n * h floats) holds ``w_out``'s gradient
+    and then ``w_enc``'s, so ``emit`` must be done with the first before the
+    second is written.  ``w_out`` is read only before it is emitted, so
+    ``emit`` may update it in place.
+
+    Both weight gradients are whole products, so ``grad`` stays.  Made a
+    column block at a time, ``w_out``'s gradient matched the whole product
+    byte for byte, but ``w_enc``'s did not: its columns are BLAS's M
+    dimension, and OpenBLAS rounds the columns at the edge of its register
+    tiles with a kernel it picks from the product's size and thread split.
     """
     h1, mu, logvar, z, h2, weight_rows = acts
     n, h = log_probs.shape[1], h1.shape[1]
-    np.exp(log_probs, out=ex)
+    ex = np.exp(log_probs, out=log_probs)
     ex *= weight_rows
     rows.subtract_target(ex)
     g_w_out = np.matmul(ex.T, h2, out=grad.reshape(n, h))
@@ -255,26 +287,30 @@ class MultiVaeRecommender(RecommenderModel):
         return self.beta_max * min(1.0, step / self.anneal_steps)
 
     def fit(self, train: InteractionDataset):
-        """SGD on batch-mean gradients over two batch x n buffers allocated once.
+        """SGD on batch-mean gradients over one batch x n buffer allocated once.
 
-        ``logits`` takes the dropout draw, then the encoder's input, then the
-        logits and log-probabilities; ``ex`` the softmax terms, the target
-        rows and the logit gradient.  The target stays sparse in between (see
-        ``_SparseRows``).  Each step performs the same floating-point
-        operations in the same order as the allocating step kept in
-        ``tests/multivae_reference.py``, so parameters and loss curve match it
-        byte for byte.
+        ``logits`` takes the dropout draw (only when ``dropout_keep`` < 1),
+        then the encoder's input, the logits, the log-probabilities, the logit
+        gradient and the encoder's input again.  The target stays sparse in
+        between (see ``_SparseRows``).  The softmax runs a few rows at a time
+        in a scratch block of at most ``_BLOCK_ENTRIES`` floats (or one row),
+        and one n x h gradient serves ``w_out`` and then ``w_enc``.  Each step
+        performs the same floating-point operations in the same order as the
+        allocating step kept in ``tests/multivae_reference.py``, so parameters
+        and loss curve match it byte for byte.
         """
         seq = np.random.SeedSequence(self.init_seed)
         init_rng, order_rng, noise_rng, drop_rng = map(np.random.default_rng, seq.spawn(4))
         n, h, k = train.num_artists, self.hidden_dim, self.latent_dim
         size = min(self.batch_size, train.num_users)
-        # parameters, one gradient shared by w_out and w_enc, and the two
-        # batch x n buffers
+        block_rows = _block_rows(size, n)
+        # parameters, one gradient shared by w_out and w_enc, the batch x n
+        # buffer and the softmax's rows
         num_params = 2 * n * h + 3 * h * k + n + 2 * h + 2 * k
-        require_memory(8 * (num_params + n * h + 2 * size * n), f"Multi-VAE with hidden_dim {h}")
+        require_memory(8 * (num_params + n * h + (size + block_rows) * n),
+                       f"Multi-VAE with hidden_dim {h}")
         params = init_params(n, h, k, init_rng)
-        logits, ex = np.empty((size, n)), np.empty((size, n))
+        logits, scratch = np.empty((size, n)), np.empty((block_rows, n))
         grad = np.empty(n * h)
         step = 0
         self.loss_curve_ = []
@@ -284,17 +320,18 @@ class MultiVaeRecommender(RecommenderModel):
             for bi, start in enumerate(range(0, train.num_users, self.batch_size)):
                 users = order[start : start + self.batch_size]
                 b = len(users)
-                drop_rng.random(out=logits[:b])
-                rows = _SparseRows(train, users, n, logits[:b], self.dropout_keep)
+                # drop_rng feeds only the dropout mask, which keep 1 does not draw
+                uniforms = drop_rng.random(out=logits[:b]) if self.dropout_keep < 1.0 else None
+                rows = _SparseRows(train, users, n, uniforms, self.dropout_keep)
                 eps = noise_rng.standard_normal((b, k))
                 beta = self._beta_at(step)
                 # an overflow shows up as a non-finite loss, reported below
                 with np.errstate(over="ignore", invalid="ignore"):
-                    losses, acts = _forward_loss(params, rows, eps, beta, logits[:b], ex[:b])
+                    losses, acts = _forward_loss(params, rows, eps, beta, logits[:b], scratch)
                     total = float(losses[0].mean())
                     if not math.isfinite(total):
                         raise NumericalError(f"non-finite loss at epoch {epoch}, batch {bi}")
-                    _backward(params, acts, rows, eps, beta, logits[:b], ex[:b], grad,
+                    _backward(params, acts, rows, eps, beta, logits[:b], grad,
                               functools.partial(_sgd, params, b, self.learning_rate))
                 step += 1
                 epoch_losses.append(total)

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from popbias.corpus import InteractionDataset
 from popbias.errors import ValidationError
 from popbias.models.base import RecommenderModel, rank_candidates
-from popbias.models.multivae import _backward, _forward_loss
+from popbias.models.multivae import _backward, _block_rows, _forward_loss
 from popbias.models.wrmf import _confidences, _solve_rows
 
 
@@ -28,8 +28,8 @@ class _DenseRows:
     def __init__(self, target, fed):
         self.target, self.fed = target, fed
 
-    def write_target(self, out):
-        np.copyto(out, self.target)
+    def write_target(self, out, first=0):
+        np.copyto(out, self.target[first : first + len(out)])
 
     def write_input(self, out):
         np.copyto(out, self.fed)
@@ -41,15 +41,16 @@ class _DenseRows:
 def _batch_loss_and_grads(params, X_target, X_input, eps, beta):
     """Mean (total, nll, kl) over the batch and the mean gradient of every parameter."""
     batch, n = X_target.shape
-    logits, ex = np.empty((batch, n)), np.empty((batch, n))
+    logits = np.empty((batch, n))
     rows = _DenseRows(X_target, X_input)
-    losses, acts = _forward_loss(params, rows, eps, beta, logits, ex)
+    losses, acts = _forward_loss(params, rows, eps, beta, logits,
+                                 np.empty((_block_rows(batch, n), n)))
     grads = {}
 
     def keep(key, g):
         grads[key] = g / batch
 
-    _backward(params, acts, rows, eps, beta, logits, ex, np.empty(params["w_out"].size), keep)
+    _backward(params, acts, rows, eps, beta, logits, np.empty(params["w_out"].size), keep)
     return tuple(float(r.mean()) for r in losses), grads
 
 

@@ -739,6 +739,8 @@ def test_run_out_name_too_long_exits_2(tmp_path, capsys):
     ("run", "report.kv", "report.txt", ["--seed", "9"]),
     ("gapcalc", "gapcalc.kv", "gapcalc.txt", ["--records", "OTHER"]),
     ("synth", "groups.tsv", "interactions.tsv", ["--seed", "5"]),
+    ("split", "masked.tsv", "train.tsv", ["--seed", "2"]),
+    ("tailplot", "tail_coverage.tsv", "tail_rank_phi.tsv", ["--data", "OTHER_DATA"]),
 ])
 def test_rerun_onto_a_directory_target_keeps_the_earlier_files(tmp_path, data_file, capsys,
                                                                command, blocked, kept, change):
@@ -748,9 +750,14 @@ def test_rerun_onto_a_directory_target_keeps_the_earlier_files(tmp_path, data_fi
     earlier = (out / kept).read_bytes()
     (out / blocked).unlink()
     (out / blocked).mkdir()
-    other = write(tmp_path / "other.csv", records_file(tmp_path).read_text().replace(
-        "profile-seed,X,50,0.5", "profile-seed,X,40,0.4"))
-    rerun = argv + [str(other) if arg == "OTHER" else arg for arg in change]
+    other = {
+        "OTHER": write(tmp_path / "other.csv", records_file(tmp_path).read_text().replace(
+            "profile-seed,X,50,0.5", "profile-seed,X,40,0.4")),
+        # every artist gets two listeners, so the popularity ranks change
+        "OTHER_DATA": write(tmp_path / "other.tsv", data_file.read_text().replace(
+            "u3\ta1\t1", "u3\ta3\t1")),
+    }
+    rerun = argv + [str(other.get(arg, arg)) for arg in change]
     # the rerun would write other bytes where nothing blocks it
     assert main(rerun + ["--out", str(tmp_path / "fresh")]) == 0
     assert (tmp_path / "fresh" / kept).read_bytes() != earlier

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from popbias.corpus import SyntheticConfig, generate_synthetic
 from popbias.errors import ValidationError
+from popbias.models import multivae
 from popbias.models.multivae import MultiVaeRecommender, init_params, kl_gaussian
 
 from conftest import make_dataset, random_dataset
@@ -264,6 +266,56 @@ class TestFitMemory:
 
         assert peak(lambda: MultiVaeRecommender(**kwargs).fit(ds)) <= bound
         # the allocating step this replaced does not fit the bound
+        assert peak(lambda: reference_fit(ds, beta_max=0.2, anneal_steps=500,
+                                          learning_rate=0.5, **kwargs)) > bound
+
+
+class TestSoftmaxRowBlocks:
+    """``fit``'s softmax runs a few rows at a time in one scratch block."""
+
+    @pytest.mark.parametrize("dropout_keep", [1.0, 0.5])
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    def test_fit_matches_the_reference_when_the_batch_splits(self, monkeypatch, dropout_keep,
+                                                              block_rows):
+        # 11 users in batches of 8: a full batch splits into blocks of 3, 3
+        # and a remainder of 2 (or into single rows), the short last batch of
+        # 3 into one block (or three)
+        ds = random_dataset(np.random.default_rng(8), num_users=11, num_artists=40)
+        monkeypatch.setattr(multivae, "_BLOCK_ENTRIES", block_rows * ds.num_artists)
+        assert multivae._block_rows(8, ds.num_artists) == block_rows
+        kwargs = dict(latent_dim=3, hidden_dim=6, beta_max=0.3, anneal_steps=2,
+                      epochs=3, batch_size=8, learning_rate=0.4,
+                      dropout_keep=dropout_keep, init_seed=8)
+        model = MultiVaeRecommender(**kwargs).fit(ds)
+        params, loss_curve = reference_fit(ds, **kwargs)
+        assert np.array(model.loss_curve_).tobytes() == np.array(loss_curve).tobytes()
+        for key in PARAM_KEYS:
+            assert model.params_[key].tobytes() == params[key].tobytes(), key
+
+    @pytest.mark.parametrize("dropout_keep", [1.0, 0.5])
+    def test_peak_is_one_batch_buffer_beside_the_gradient(self, monkeypatch, dropout_keep):
+        n, h, k, batch = 6000, 16, 4, 32
+        # 48 users: a full batch and a short one, with sparse rows
+        ds = generate_synthetic(SyntheticConfig(48, n, 1.0, (50, 300)), seed=3)
+        monkeypatch.setattr(multivae, "_BLOCK_ENTRIES", n)  # a block of one row
+        kwargs = dict(latent_dim=k, hidden_dim=h, epochs=2, batch_size=batch,
+                      dropout_keep=dropout_keep, init_seed=0)
+        num_params = 2 * n * h + 3 * h * k + n + 2 * h + 2 * k
+        # the parameters, the n x h gradient, the batch x n buffer and the
+        # one-row block; the slack, a quarter of a batch x n float64 array,
+        # holds the batch's non-zeros and the small activations, so a second
+        # batch x n array made per step exceeds the bound
+        bound = 8 * (num_params + n * h + (batch + 1) * n) + 2 * batch * n
+
+        def peak(fit):
+            tracemalloc.start()
+            try:
+                fit()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: MultiVaeRecommender(**kwargs).fit(ds)) <= bound
         assert peak(lambda: reference_fit(ds, beta_max=0.2, anneal_steps=500,
                                           learning_rate=0.5, **kwargs)) > bound
 
