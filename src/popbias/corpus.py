@@ -77,18 +77,6 @@ class InteractionDataset:
             if bad:
                 raise ValidationError(f"unknown group labels: {sorted(bad)}")
 
-    def _with_counts(self, counts: sp.csr_matrix) -> "InteractionDataset":
-        """This dataset's identifiers and group labels, shared, over ``counts``.
-
-        Nothing is copied or checked again: ``counts`` must already keep the
-        invariants (int64 entries >= 1 with sorted indices, a non-empty row
-        per user), as the train split of a valid dataset does.
-        """
-        train = object.__new__(InteractionDataset)
-        train.users, train.artists, train.group_labels = self.users, self.artists, self.group_labels
-        train.counts = counts
-        return train
-
     @property
     def num_users(self) -> int:
         return len(self.users)
@@ -501,9 +489,7 @@ def split_mask(
     Each user independently masks round(holdout_fraction * profile size)
     artists (at least 1 when the profile has >= 2 artists, never the whole
     profile); single-artist users keep their artist in train.  Deterministic
-    given ``seed``; each user draws from its own RNG stream.  The train set
-    shares ``dataset``'s identifier lists and group labels, which it keeps
-    valid, and is not checked again.
+    given ``seed``; each user draws from its own RNG stream.
     """
     if not 0 < holdout_fraction < 1:
         raise ValidationError(
@@ -526,9 +512,11 @@ def split_mask(
         positions = rng.choice(size, size=m, replace=False)
         train_data[lo + positions] = 0
         masked.append(np.sort(indices[lo + positions]))
-    train_counts = sp.csr_matrix((train_data, indices.copy(), indptr.copy()), shape=counts.shape)
-    train_counts.eliminate_zeros()
-    return SplitDataset(train=dataset._with_counts(train_counts), masked=masked)
+    train = InteractionDataset(
+        dataset.users, dataset.artists,
+        sp.csr_matrix((train_data, indices, indptr), shape=counts.shape), dataset.group_labels
+    )
+    return SplitDataset(train=train, masked=masked)
 
 
 def long_tail_stats(dataset: InteractionDataset) -> TailStats:

@@ -72,29 +72,28 @@ class _SparseRows:
     where they fit.  An entry is kept when its draw in ``uniforms`` (batch x
     n) is below ``keep_prob``; the encoder sees ``value[k] * kept /
     keep_prob`` at each entry, which is the reference's ``target * mask /
-    keep_prob`` there, and +0.0 elsewhere.  With ``uniforms`` None (keep_prob
-    1, no draws) every entry is kept and the encoder sees the target.
+    keep_prob`` there, and +0.0 elsewhere.
 
     Every pass over the entries goes span by span, a span being consecutive
     rows with at most n entries together (or one row), so no temporary is
     larger than a few rows of the block; realistic batches are one span.
     """
 
-    def __init__(self, train: InteractionDataset, users, n: int, uniforms, keep_prob: float):
+    def __init__(self, train: InteractionDataset, users, n: int, uniforms: np.ndarray,
+                 keep_prob: float):
         self.count = np.diff(train.counts.indptr)[users]
         self.value = 1.0 / np.sqrt(self.count)
         self._ends = np.cumsum(self.count)
         self._n = n
         self.nz = np.empty(int(self._ends[-1]), np.int32 if len(users) * n < 2**31 else np.int64)
-        self.kept = None if uniforms is None else np.empty(self.nz.size, dtype=bool)
+        self.kept = np.empty(self.nz.size, dtype=bool)
         self.keep_prob = keep_prob
-        drawn = None if uniforms is None else uniforms.reshape(-1)
+        drawn = uniforms.reshape(-1)
         for entries, rows in self._spans(0, len(users)):
             pos = np.repeat(np.arange(rows.start, rows.stop) * n, self.count[rows])
             pos += train.counts[users[rows]].indices
             self.nz[entries] = pos
-            if drawn is not None:
-                np.less(drawn[pos], keep_prob, out=self.kept[entries])
+            np.less(drawn[pos], keep_prob, out=self.kept[entries])
 
     def _spans(self, lo, hi):
         """Yield ``(entries, rows)`` slices for the spans of rows ``lo .. hi``."""
@@ -121,9 +120,8 @@ class _SparseRows:
         flat = out.reshape(-1)
         for entries, rows in self._spans(0, len(out)):
             fed = self._values(rows)
-            if self.kept is not None:
-                fed *= self.kept[entries]
-                fed /= self.keep_prob
+            fed *= self.kept[entries]
+            fed /= self.keep_prob
             flat[self.nz[entries]] = fed
 
     def subtract_target(self, out: np.ndarray) -> None:
@@ -289,15 +287,15 @@ class MultiVaeRecommender(RecommenderModel):
     def fit(self, train: InteractionDataset):
         """SGD on batch-mean gradients over one batch x n buffer allocated once.
 
-        ``logits`` takes the dropout draw (only when ``dropout_keep`` < 1),
-        then the encoder's input, the logits, the log-probabilities, the logit
-        gradient and the encoder's input again.  The target stays sparse in
-        between (see ``_SparseRows``).  The softmax runs a few rows at a time
-        in a scratch block of at most ``_BLOCK_ENTRIES`` floats (or one row),
-        and one n x h gradient serves ``w_out`` and then ``w_enc``.  Each step
-        performs the same floating-point operations in the same order as the
-        allocating step kept in ``tests/multivae_reference.py``, so parameters
-        and loss curve match it byte for byte.
+        ``logits`` takes the dropout draw, then the encoder's input, the
+        logits, the log-probabilities, the logit gradient and the encoder's
+        input again.  The target stays sparse in between (see
+        ``_SparseRows``).  The softmax runs a few rows at a time in a scratch
+        block of at most ``_BLOCK_ENTRIES`` floats (or one row), and one n x h
+        gradient serves ``w_out`` and then ``w_enc``.  Each step performs the
+        same floating-point operations in the same order as the allocating
+        step kept in ``tests/multivae_reference.py``, so parameters and loss
+        curve match it byte for byte.
         """
         seq = np.random.SeedSequence(self.init_seed)
         init_rng, order_rng, noise_rng, drop_rng = map(np.random.default_rng, seq.spawn(4))
@@ -320,9 +318,8 @@ class MultiVaeRecommender(RecommenderModel):
             for bi, start in enumerate(range(0, train.num_users, self.batch_size)):
                 users = order[start : start + self.batch_size]
                 b = len(users)
-                # drop_rng feeds only the dropout mask, which keep 1 does not draw
-                uniforms = drop_rng.random(out=logits[:b]) if self.dropout_keep < 1.0 else None
-                rows = _SparseRows(train, users, n, uniforms, self.dropout_keep)
+                drop_rng.random(out=logits[:b])
+                rows = _SparseRows(train, users, n, logits[:b], self.dropout_keep)
                 eps = noise_rng.standard_normal((b, k))
                 beta = self._beta_at(step)
                 # an overflow shows up as a non-finite loss, reported below

@@ -379,21 +379,6 @@ class TestSplitMask:
             assert np.array_equal(ma, mb)
         assert a.train == b.train
 
-    def test_train_shares_the_identifiers_and_keeps_the_invariants(self):
-        rng = np.random.default_rng(12)
-        for trial in range(10):
-            ds = random_dataset(rng)
-            train = split_mask(ds, 0.4, seed=trial).train
-            assert train.users is ds.users and train.artists is ds.artists
-            assert train.group_labels is ds.group_labels
-            assert train.counts.indices is not ds.counts.indices
-            # the checked constructor accepts the train split and stores the same bytes
-            checked = InteractionDataset(train.users, train.artists, train.counts,
-                                         train.group_labels)
-            for part in ("data", "indices", "indptr"):
-                got, want = getattr(train.counts, part), getattr(checked.counts, part)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), part
-
     def test_bad_fraction(self):
         ds = make_dataset([[1, 1]])
         for frac in (0.0, 1.0, -0.5, 2.0):
