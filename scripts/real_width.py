@@ -21,7 +21,10 @@ and exits 1 on any mismatch:
 - ``wrmf`` solves every artist's factors once with ``_solve_rows``, from user
   factors drawn as ``WrmfRecommender.fit`` draws them (32 factors, seed 0),
   with alpha 10, ridge 0.1 and linear confidence.  They must be byte-identical
-  to those of ``tests/wrmf_reference.reference_solve_factors``.
+  to those of ``tests/wrmf_reference.reference_solve_factors``, which solves
+  every row.  The instance must hold one-play artists that share a (user,
+  count) key, so that the library's skipped solves are checked, and it must
+  report one solve per artist with plays less one per such repeat.
 - ``multivae`` fits one epoch with the desk hyperparameters (learning rate
   0.3, the others at their defaults): three batches of 64 users.  Every
   parameter and the loss curve must be byte-identical to those of
@@ -86,10 +89,19 @@ def slim(train):
 def wrmf(train):
     counts_t = train.counts.T.tocsr()
     X = np.random.default_rng(0).uniform(-0.01, 0.01, size=(train.num_users, 32))
-    Y = yield lambda: _solve_rows(counts_t, X, 0.1, *_confidences(counts_t, 10.0, "linear"))
-    yield {"rows_solved": int(np.count_nonzero(np.diff(counts_t.indptr)))}
+    Y, solves = yield lambda: _solve_rows(counts_t, X, 0.1, *_confidences(counts_t, 10.0, "linear"))
+    yield {"solves": solves}
     if Y.tobytes() != reference_solve_factors(counts_t, X, 10.0, 0.1, "linear").tobytes():
         yield "the library's artist factors differ from the reference's"
+    lengths = np.diff(counts_t.indptr)
+    one = counts_t.indptr[:-1][lengths == 1]
+    # at one confidence mode and alpha, equal counts give equal confidences
+    keys = len(np.unique(np.stack((counts_t.indices[one], counts_t.data[one]), axis=1), axis=0))
+    if keys == len(one):
+        yield "no two one-play artists share a (user, count) key, so no solve was skipped"
+    if solves != np.count_nonzero(lengths) - len(one) + keys:
+        yield (f"{solves} solves, but {np.count_nonzero(lengths)} artists have plays, "
+               f"{len(one)} of them one play with {keys} distinct keys")
 
 
 def multivae(train):

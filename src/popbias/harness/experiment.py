@@ -7,7 +7,9 @@ ranking of every artist outside the training profile -> per-user AUC ->
 GAP / delta-GAP per mainstream group -> report.
 
 Everything is deterministic given the seeds in the config: rerunning the
-same config reproduces the report byte for byte.
+same config with the same BLAS thread count on the same CPU kernel reproduces
+the report byte for byte.  BLAS products may round differently under another
+thread count or kernel.
 """
 
 from __future__ import annotations

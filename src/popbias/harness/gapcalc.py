@@ -15,7 +15,8 @@ order with a rejected text or two blank measures raises its first error in
 column order, naming the file and its physical line.  Every (service, user)
 must keep one group label and have records in both roles.  ``gapcalc``
 groups each measure with one stable sort by (service, user, role) and takes
-one ``np.mean`` per user and role, in file order.
+each user and role's mean over its values in file order, one ``.mean(axis=1)``
+per slice length.
 """
 
 from __future__ import annotations
@@ -368,11 +369,16 @@ def gapcalc(records: SimulatedRecords) -> GapcalcReport:
         order = np.argsort(key, kind="stable")  # file order inside each (service, user, role)
         key, values = key[order], values[present[order]]
         starts = np.flatnonzero(np.diff(key, prepend=-1))
-        ends = np.r_[starts[1:], len(key)]
-        # one np.mean per slice: np.add.reduceat sums in another order, so its means differ
+        lengths = np.diff(starts, append=len(key))
+        # The slices of one length are the rows of one C-contiguous array, and
+        # .mean(axis=1) sums each row as np.mean sums a slice, so the means are
+        # np.mean's bytes; np.add.reduceat sums in another order, so its differ.
+        slice_means = np.empty(len(starts))
+        for length in np.unique(lengths).tolist():
+            at = np.flatnonzero(lengths == length)
+            slice_means[at] = values[starts[at, None] + np.arange(length)].mean(axis=1)
         means = np.full((len(first), len(ROLES)), np.nan)
-        means.flat[key[starts]] = [np.mean(values[a:b])
-                                   for a, b in zip(starts.tolist(), ends.tolist())]
+        means.flat[key[starts]] = slice_means
         qualifying = ~np.isnan(means).any(axis=1)  # a present value in each role
         for s, service in enumerate(records.services):
             in_service = qualifying & (pair_service == s)

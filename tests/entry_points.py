@@ -93,7 +93,7 @@ def solve_factors(
     matrix for items); ``other`` is the fixed opposite factor matrix.  Rows
     with no observations come out exactly zero, which is their minimizer.
     """
-    return _solve_rows(mat, other, ridge, *_confidences(mat, alpha, confidence))
+    return _solve_rows(mat, other, ridge, *_confidences(mat, alpha, confidence))[0]
 
 
 def recommend_top_n(

@@ -451,9 +451,24 @@ class TestMatchesReference:
                 for role in ROLES:
                     for x in rng.uniform(0, 1, rows):
                         records.append([service, f"u{u}", "low", role, "A",
-                                        repr(100 * x), repr(float(x))])
+                                        repr(float(100 * x)), repr(float(x))])
         rng.shuffle(records)
         assert_matches_reference(write_records(tmp_path / "big.csv", records))
+
+    def test_every_slice_length_in_one_cell(self, tmp_path):
+        # user u has u + 1 profile and 260 - u recommended records, so every
+        # slice length from 1 to 260 occurs twice in the one group cell
+        rng = np.random.default_rng(6)
+        records = []
+        for u in range(260):
+            for role, rows in zip(ROLES, (u + 1, 260 - u)):
+                for x in rng.uniform(0, 1, rows):
+                    records.append(["spotify", f"u{u}", "low", role, "A",
+                                    repr(float(100 * x)), repr(float(x))])
+        rng.shuffle(records)
+        path = write_records(tmp_path / "lengths.csv", records)
+        assert len(gapcalc(read_simulated_records(path)).entries) == 4
+        assert_matches_reference(path)
 
     @given(session_records(), st.lists(st.tuples(st.integers(0, 10**6),
                                                  st.sampled_from(sorted(FAULTS))),

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from pytest import approx
 
 from popbias.errors import NumericalError, ValidationError
-from popbias.models.wrmf import WrmfRecommender, wrmf_objective
+from popbias.models.wrmf import WrmfRecommender, _cannot_overflow, _confidences, wrmf_objective
 
 from conftest import make_dataset, random_dataset
 from entry_points import solve_factors
@@ -31,6 +31,32 @@ def random_counts(rng, num_rows, num_cols):
     indptr = np.concatenate(([0], np.cumsum(lengths)))
     data = rng.integers(1, 40, size=indices.size).astype(np.float64)
     return sp.csr_matrix((data, indices, indptr), shape=(num_rows, num_cols))
+
+
+def repeated_one_play_counts(rng, num_rows, num_cols):
+    """CSR counts of which at least half the rows repeat an earlier row's
+    one entry: the same column and count, drawn from a few keys."""
+    mixed = random_counts(rng, num_rows // 4, num_cols)
+    pool = [(int(rng.integers(num_cols)), float(rng.integers(1, 4))) for _ in range(3)]
+    keys = [pool[k] for k in rng.integers(len(pool), size=num_rows - mixed.shape[0])]
+    one = sp.csr_matrix(([c for _, c in keys], [j for j, _ in keys], np.arange(len(keys) + 1)),
+                        shape=(len(keys), num_cols))
+    mat = sp.vstack([mixed, one]).tocsr()[rng.permutation(num_rows)]
+    assert one_play_repeats(mat) >= num_rows // 2
+    return mat
+
+
+def one_play_repeats(mat):
+    """Rows holding one entry whose (column, count) an earlier such row holds."""
+    seen = set()
+    repeats = 0
+    for i in range(mat.shape[0]):
+        lo, hi = mat.indptr[i], mat.indptr[i + 1]
+        if hi - lo == 1:
+            key = (int(mat.indices[lo]), float(mat.data[lo]))
+            repeats += key in seen
+            seen.add(key)
+    return repeats
 
 
 def dense_solve_side(counts, other, alpha, ridge):
@@ -129,6 +155,111 @@ class TestSolves:
                     X2 = X.copy()
                     X2[u, k] += sign * eps
                     assert dense_objective(TOY_COUNTS, X2, Y, alpha, ridge) > base - 1e-10
+
+
+def group_failure(big, y0):
+    """Counts and opposite factors where rows 3, 5 and 6 share one one-play key
+    (column 0, count ``big``) and row 3 is the first whose system fails."""
+    dense = np.zeros((7, 3))
+    dense[0, [1, 2]] = 1, 3
+    dense[2, 1] = 2
+    dense[[3, 5, 6], 0] = big
+    dense[4, [0, 2]] = 2, 1
+    other = np.array([[y0, 0.5 if y0 == 1 else 0.0], [0.3, -1.2], [0.8, 0.4]])
+    return sp.csr_matrix(dense), other
+
+
+class TestRepeatedOnePlayRows:
+    """Rows with one entry of the same (column, count) are solved once."""
+
+    @pytest.mark.parametrize("confidence", ["linear", "log"])
+    @pytest.mark.parametrize("d", [1, 3, 32])
+    def test_matches_reference_solver_byte_for_byte(self, confidence, d):
+        rng = np.random.default_rng([d, len(confidence), 1])
+        for trial in range(6):
+            mat = repeated_one_play_counts(rng, int(rng.integers(12, 40)), int(rng.integers(1, 30)))
+            other = rng.standard_normal((mat.shape[1], d)) * rng.uniform(0.01, 3.0)
+            alpha, ridge = rng.uniform(0.1, 40.0), rng.uniform(0.01, 2.0)
+            got = solve_factors(mat, other, alpha, ridge, confidence)
+            want = reference_solve_factors(mat, other, alpha, ridge, confidence)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("confidence", ["linear", "log"])
+    def test_fit_matches_reference_and_counts_solves(self, confidence):
+        rng = np.random.default_rng(len(confidence))
+        counts = repeated_one_play_counts(rng, 60, 12).T.toarray().astype(np.int64)
+        counts[counts.sum(axis=1) == 0, 0] = 1  # every user plays something
+        ds = make_dataset(counts)
+        model = WrmfRecommender(factors=4, alpha=3.0, ridge=0.2, sweeps=2, init_seed=1,
+                                confidence=confidence).fit(ds)
+        X, Y = reference_factors(model, ds)
+        assert model.user_factors_.tobytes() == X.tobytes()
+        assert model.item_factors_.tobytes() == Y.tobytes()
+        counts_t = ds.counts.T.tocsr()
+        per_sweep = (ds.num_users + np.count_nonzero(np.diff(counts_t.indptr))
+                     - one_play_repeats(counts_t))
+        assert model.solves_ == 2 * per_sweep
+
+    def test_solves_counts_each_distinct_system_once(self):
+        # artists 1 and 2 hold user 0's one play of count 1, artist 5 user 0's
+        # play of count 2, and artist 6 nothing: 5 artist and 3 user systems
+        ds = make_dataset([[1, 1, 1, 0, 0, 2, 0],
+                           [0, 0, 0, 2, 2, 0, 0],
+                           [3, 0, 0, 0, 2, 0, 0]])
+        assert WrmfRecommender(factors=2, sweeps=3).fit(ds).solves_ == 24
+        assert WrmfRecommender(factors=2, sweeps=1).fit(TOY).solves_ == 9
+
+    def test_singular_system_names_the_groups_lowest_row(self):
+        mat, other = group_failure(1e200, 1.0)
+        with pytest.raises(NumericalError, match="singular normal equations at row 3:"):
+            solve_factors(mat, other, 1.0, 0.1)
+        with pytest.raises(NumericalError, match="singular normal equations at row 3:"):
+            reference_solve_factors(mat, other, 1.0, 0.1)
+
+    def test_overflowed_system_names_the_groups_lowest_row(self):
+        mat, other = group_failure(1e210, 1e100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite normal equations at row 3$"):
+                solve_factors(mat, other, 1.0, 0.1)
+            # the reference solves rows 0-2 and rejects row 3's infinite system
+            reference_solve_factors(mat[:3], other, 1.0, 0.1)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                reference_solve_factors(mat[:4], other, 1.0, 0.1)
+
+
+class TestOverflowBound:
+    """One bound per half-sweep decides whether each system's sum is checked."""
+
+    @staticmethod
+    def bounded(mat, other, alpha, ridge):
+        gram = other.T @ other + ridge * np.eye(other.shape[1])
+        extra, _ = _confidences(mat, alpha, "linear")
+        return _cannot_overflow(gram, other, mat.indptr, extra)
+
+    def test_ordinary_instances_skip_the_check(self):
+        rng = np.random.default_rng(8)
+        mat = repeated_one_play_counts(rng, 30, 20)
+        assert self.bounded(mat, rng.standard_normal((20, 32)), 40.0, 0.1)
+
+    @pytest.mark.parametrize("d", [1, 3, 32])
+    def test_tripped_bound_checks_and_still_matches_reference(self, d):
+        # max|gram| near max / (3 d^2): the bound trips although every entry
+        # of every system, and every system's sum, is finite
+        rng = np.random.default_rng(d)
+        mat = repeated_one_play_counts(rng, 30, 4 * d)  # a well-conditioned gram
+        other = rng.standard_normal((4 * d, d))
+        other *= np.sqrt(np.finfo(np.float64).max / (3 * d * d * np.abs(other.T @ other).max()))
+        alpha, ridge = 1e-3, 0.1
+        assert not self.bounded(mat, other, alpha, ridge)
+        got = solve_factors(mat, other, alpha, ridge)
+        assert np.isfinite(got).all() and np.any(got != 0)
+        assert got.tobytes() == reference_solve_factors(mat, other, alpha, ridge).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_bound_keeps_the_check(self, bad):
+        mat = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 1.0]]))
+        other = np.array([[1.0, 0.0], [bad, 1.0]])
+        assert not self.bounded(mat, other, 1.0, 0.1)
 
 
 class TestObjective:
