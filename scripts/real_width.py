@@ -94,13 +94,14 @@ def wrmf(train):
     if Y.tobytes() != reference_solve_factors(counts_t, X, 10.0, 0.1, "linear").tobytes():
         yield "the library's artist factors differ from the reference's"
     lengths = np.diff(counts_t.indptr)
+    played = np.count_nonzero(lengths)
     one = counts_t.indptr[:-1][lengths == 1]
     # at one confidence mode and alpha, equal counts give equal confidences
     keys = len(np.unique(np.stack((counts_t.indices[one], counts_t.data[one]), axis=1), axis=0))
     if keys == len(one):
         yield "no two one-play artists share a (user, count) key, so no solve was skipped"
-    if solves != np.count_nonzero(lengths) - len(one) + keys:
-        yield (f"{solves} solves, but {np.count_nonzero(lengths)} artists have plays, "
+    if solves != played - len(one) + keys:
+        yield (f"{solves} solves, but {played} artists have plays, "
                f"{len(one)} of them one play with {keys} distinct keys")
 
 
