@@ -170,7 +170,7 @@ def _cmd_tailplot(args) -> int:
     check_writable_dir(args.out)
     dataset = ingest_interactions(args.data)
     stats, paths = emit_tail_plot_data(dataset, args.out)
-    print(f"artists\t{stats.num_artists}")
+    print(f"artists\t{dataset.num_artists}")
     print(f"coverage@0.05\t{stats.coverage_at(0.05):.4f}")
     print(f"wrote {paths[0]} and {paths[1]}")
     return 0

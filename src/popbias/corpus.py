@@ -123,7 +123,6 @@ class SplitDataset:
 class TailStats:
     """Summary of how concentrated interactions are among popular artists."""
 
-    num_artists: int
     coverage_curve: list[tuple[float, float]]
 
     def coverage_at(self, fraction: float) -> float:
@@ -136,10 +135,6 @@ class TailStats:
         """The (fraction_of_artists, fraction_of_interactions) pairs as TSV lines."""
         return (["# fraction_of_artists\tfraction_of_interactions"]
                 + [f"{f:.6f}\t{c:.6f}" for f, c in self.coverage_curve])
-
-    def write_coverage(self, path):
-        """Export ``coverage_lines`` as a TSV file."""
-        return write_lines({path: self.coverage_lines()})[0]
 
 
 @dataclass(frozen=True)
@@ -450,11 +445,7 @@ def user_mainstreaminess(dataset: InteractionDataset, phi: np.ndarray) -> np.nda
     """Mean phi over each user's profile."""
     if len(phi) != dataset.num_artists:
         raise ValidationError("popularity table does not cover all artists")
-    binary = dataset.counts.copy()
-    binary.data = np.ones_like(binary.data)
-    sums = binary @ phi
-    sizes = np.diff(dataset.counts.indptr)
-    return sums / sizes
+    return (dataset.counts.astype(bool) @ phi) / np.diff(dataset.counts.indptr)
 
 
 def assign_mainstream_groups(dataset: InteractionDataset, phi: np.ndarray) -> list[str]:
@@ -534,7 +525,7 @@ def long_tail_stats(dataset: InteractionDataset) -> TailStats:
         k = max(1, math.ceil(frac * dataset.num_artists))
         k = min(k, dataset.num_artists)
         curve.append((frac, float(cum[k - 1] / total)))
-    return TailStats(num_artists=dataset.num_artists, coverage_curve=curve)
+    return TailStats(coverage_curve=curve)
 
 
 def emit_tail_plot_data(dataset: InteractionDataset, out_dir):

@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import sys
+import typing
 from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 from types import NoneType
@@ -86,32 +87,22 @@ class ModelSpec:
     """One model to evaluate: fixed hyperparameters or a tuning grid."""
 
     name: str
-    hyperparams: dict = field(default_factory=dict)
-    grid: list[dict] | None = None
-
-    def __post_init__(self):
-        if self.name not in MODEL_FACTORIES:
-            raise ValidationError(
-                f"unknown model {self.name!r}; expected one of {sorted(MODEL_FACTORIES)}"
-            )
-        if self.grid is not None and len(self.grid) == 0:
-            raise ValidationError(f"model {self.name!r} has an empty tuning grid")
+    hyperparams: dict
+    grid: list[dict] | None
 
 
 # What each config key accepts: a dict is an object with those keys, a list a
 # list of that length, else the allowed types.  A float key also takes an int;
-# an int key never takes a bool.
+# an int key never takes a bool.  ``dataset.synthetic`` takes SyntheticConfig's
+# fields, a ``tuple[...]`` field as the list of its item types.
 _CONFIG_SCHEMA = {
     "seed": int, "top_n": int, "ap_k": (int, NoneType), "tune_seed": int,
     "popularity_scope": str, "gap_profile": str, "models": list,
     "split": {"holdout_fraction": float, "seed": int},
     "dataset": {
         "interactions": (str, NoneType), "groups": (str, NoneType), "seed": int,
-        "synthetic": {
-            "num_users": int, "num_artists": int, "zipf_exponent": float,
-            "profile_size_range": [int, int], "mainstream_mix": [float] * 3,
-            "count_geometric_p": float,
-        },
+        "synthetic": {name: list(typing.get_args(hint)) if typing.get_origin(hint) is tuple else hint
+                      for name, hint in typing.get_type_hints(SyntheticConfig).items()},
     },
 }
 
@@ -157,18 +148,22 @@ def _model_spec(entry, path: str) -> ModelSpec:
         # the winning grid point would be used alone and the fixed values dropped
         raise ValidationError(f"config {path} has both hyperparams and a grid; "
                               "give every grid point its full settings instead")
-    spec = ModelSpec(entry.get("name", ""), dict(entry.get("hyperparams", {})), entry.get("grid"))
-    params = inspect.signature(MODEL_FACTORIES[spec.name]).parameters.values()
+    name, grid = entry.get("name", ""), entry.get("grid")
+    if name not in MODEL_FACTORIES:
+        raise ValidationError(f"unknown model {name!r}; expected one of {sorted(MODEL_FACTORIES)}")
+    if grid == []:
+        raise ValidationError(f"model {name!r} has an empty tuning grid")
+    params = inspect.signature(MODEL_FACTORIES[name]).parameters.values()
     schema = {p.name: type(p.default) for p in params}
-    _check_config(spec.hyperparams, schema, f"{path}.hyperparams")
+    hyperparams = dict(_check_config(entry.get("hyperparams", {}), schema, f"{path}.hyperparams"))
     try:  # the constructors check values, so a bad one fails here, not after earlier fits
-        MODEL_FACTORIES[spec.name](**spec.hyperparams)
+        MODEL_FACTORIES[name](**hyperparams)
     except ValidationError as exc:
         raise ValidationError(f"config {path}.hyperparams: {exc}") from exc
-    if spec.grid is not None:
-        spec.grid = [dict(_check_config(point, schema, f"{path}.grid[{j}]"))
-                     for j, point in enumerate(spec.grid)]
-    return spec
+    if grid is not None:
+        grid = [dict(_check_config(point, schema, f"{path}.grid[{j}]"))
+                for j, point in enumerate(grid)]
+    return ModelSpec(name, hyperparams, grid)
 
 
 @dataclass

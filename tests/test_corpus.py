@@ -341,6 +341,24 @@ class TestMainstreamGroups:
         labels = assign_mainstream_groups(ds, pop)
         assert labels == ["low", "medium", "high"]
 
+    def test_scores_are_sequential_profile_means(self):
+        # the terciles of an ingested corpus rest on these bytes: each score is
+        # phi summed over the profile in artist order, then divided by its size
+        rng = np.random.default_rng(23)
+        ds = random_dataset(rng, num_users=97, num_artists=11, max_count=40)
+        pop = compute_popularity(ds)
+        assert len(np.unique(pop)) < ds.num_artists  # tie-heavy
+        indptr, indices = ds.counts.indptr, ds.counts.indices
+        want = np.empty(ds.num_users)
+        for u in range(ds.num_users):
+            total = 0.0
+            for a in indices[indptr[u]:indptr[u + 1]]:
+                total += pop[a]
+            want[u] = total / (indptr[u + 1] - indptr[u])
+        scores = user_mainstreaminess(ds, pop)
+        assert scores.dtype == np.float64
+        assert scores.tobytes() == want.tobytes()
+
     def test_phi_of_another_catalogue_rejected(self):
         ds = make_dataset([[1, 1, 0], [1, 0, 1]])
         with pytest.raises(ValidationError, match="popularity table does not cover all artists"):
@@ -443,7 +461,7 @@ class TestTailStats:
     def test_export(self, tmp_path):
         ds = make_dataset(np.ones((4, 20), dtype=int))
         out = tmp_path / "coverage.tsv"
-        long_tail_stats(ds).write_coverage(out)
+        write_lines(out, long_tail_stats(ds).coverage_lines())
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(rows) == len(COVERAGE_FRACTIONS)
         first = rows[0].split("\t")

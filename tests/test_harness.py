@@ -25,6 +25,7 @@ from popbias.corpus import (
 )
 from popbias.errors import NumericalError, TuningError, ValidationError
 from popbias.harness.experiment import (
+    _CONFIG_SCHEMA,
     ExperimentConfig,
     ModelSpec,
     _mean_ap,
@@ -119,6 +120,15 @@ class TestConfig:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValidationError, match="unknown model"):
             ExperimentConfig.from_dict(tiny_raw_config(models=[{"name": "svdpp"}]))
+
+    def test_synthetic_schema_read_off_synthetic_config(self):
+        # a tuple field takes a list of its item types; a bare ``tuple`` annotation
+        # would turn every profile_size_range or mainstream_mix list into an error
+        assert _CONFIG_SCHEMA["dataset"]["synthetic"] == {
+            "num_users": int, "num_artists": int, "zipf_exponent": float,
+            "profile_size_range": [int, int], "mainstream_mix": [float, float, float],
+            "count_geometric_p": float,
+        }
 
     def test_needs_exactly_one_source(self):
         raw = tiny_raw_config()
