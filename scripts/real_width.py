@@ -17,7 +17,9 @@ and exits 1 on any mismatch:
   train split and the weights must match the sha256 of their CSR ``data``,
   ``indices`` and ``indptr`` bytes and their dtypes, pinned before the split
   and the fit last changed.  SLIM calls no BLAS, so the digests should not
-  depend on the machine.
+  depend on the machine.  The dense reference would need n^2 floats at this
+  width, so the 20 most connected columns and 180 seeded others must also
+  match ``tests/slim_reference.fit_sparse_column`` byte for byte.
 - ``wrmf`` solves every artist's factors once with ``_solve_rows``, from user
   factors drawn as ``WrmfRecommender.fit`` draws them (32 factors, seed 0),
   with alpha 10, ridge 0.1 and linear confidence.  They must be byte-identical
@@ -48,6 +50,7 @@ from popbias.models.wrmf import _confidences, _solve_rows
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from multivae_reference import PARAM_KEYS, reference_fit  # noqa: E402
+from slim_reference import fit_sparse_column  # noqa: E402
 from wrmf_reference import reference_solve_factors  # noqa: E402
 
 SLIM_PINNED = {
@@ -84,6 +87,21 @@ def slim(train):
         found = fingerprint(mat)
         if found != SLIM_PINNED[name]:
             yield f"{name}: {found} differs from the pinned {SLIM_PINNED[name]}"
+    mat = model._transform(train)
+    gram = (mat.T @ mat).tocsr()
+    lengths = np.diff(gram.indptr)
+    connected = np.argsort(-lengths, kind="stable")[:20]
+    # drawn from the columns with a neighbour besides the diagonal
+    others = np.setdiff1d(np.flatnonzero(lengths > 1), connected)
+    drawn = np.random.default_rng(0).choice(others, 180, replace=False)
+    weights, col_norms = model.weights_, gram.diagonal()
+    for j in np.concatenate((connected, np.sort(drawn))):
+        indices, data = fit_sparse_column(gram, col_norms, j, model.l1_penalty, model.l2_penalty,
+                                          model.max_iters, model.tolerance)
+        span = slice(weights.indptr[j], weights.indptr[j + 1])
+        if (indices.astype(weights.indices.dtype).tobytes() != weights.indices[span].tobytes()
+                or data.tobytes() != weights.data[span].tobytes()):
+            yield f"weights column {j} differs from the sparse reference descent's"
 
 
 def wrmf(train):

@@ -38,10 +38,6 @@ class RankedCandidates:
         self._positive_mask = np.isin(self.ordering, self.positives)
 
     @property
-    def num_candidates(self) -> int:
-        return len(self.ordering)
-
-    @property
     def num_positives(self) -> int:
         return len(self.positives)
 

@@ -53,8 +53,8 @@ def kl_gaussian(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(mu**2 + np.exp(logvar) - logvar - 1.0, axis=1)
 
 
-# Float64 entries in the scratch block the softmax and the target's row terms
-# run in, a few rows of the batch at a time (at least one row).
+# Float64 entries in the scratch block the softmax, the target's row terms and
+# the logit gradient run in, a few rows of the batch at a time (at least one row).
 _BLOCK_ENTRIES = 2**17
 
 
@@ -124,24 +124,19 @@ class _SparseRows:
             fed /= self.keep_prob
             flat[self.nz[entries]] = fed
 
-    def subtract_target(self, out: np.ndarray) -> None:
-        """``out -= target`` at the non-zeros: x - (+0.0) is x everywhere else."""
-        flat = out.reshape(-1)
-        for entries, rows in self._spans(0, len(out)):
-            flat[self.nz[entries]] -= self._values(rows)
-
 
 def _forward_loss(params, rows, eps, beta, logits, scratch):
-    """Per-row (total, nll, kl) and the activations; log-probabilities left in ``logits``.
+    """Per-row (total, nll, kl) and the activations; the logit gradient left in ``logits``.
 
     ``rows`` writes the encoder's input (which may be a dropped-out copy of
     the target) and the target, the rows the multinomial term reconstructs.
     The input goes into ``logits`` (batch x n) and is read before the decoder
-    overwrites it.  The softmax and the target's terms are then taken a row
-    block at a time: ``scratch`` (r x n) holds a block's exponentials and
-    then its target rows, so nothing else batch x n is allocated.  A row's
-    sums do not depend on the rows summed beside it.  The last activation is
-    the target's per-row sum.
+    overwrites it.  The rest runs a row block at a time: ``+ b_out``, the
+    log-softmax, the target's terms, then the block's logit gradient
+    ``exp(log_probs) * sum(target) - target``.  ``scratch`` (r x n) holds a
+    block's exponentials and then its target rows, twice, so nothing else
+    batch x n is allocated.  A row's sums do not depend on the rows summed
+    beside it.
     """
     rows.write_input(logits)
     h1 = np.tanh(logits @ params["w_enc"].T + params["b_enc"])
@@ -150,29 +145,33 @@ def _forward_loss(params, rows, eps, beta, logits, scratch):
     z = mu + np.exp(0.5 * logvar) * eps
     h2 = np.tanh(z @ params["w_dec"].T + params["b_dec"])
     np.matmul(h2, params["w_out"].T, out=logits)
-    logits += params["b_out"]
     b, r = len(logits), len(scratch)
-    weight_rows, nll_rows = np.empty((b, 1)), np.empty(b)
+    nll_rows = np.empty(b)
     for lo in range(0, b, r):
         part, ex = logits[lo : lo + r], scratch[: min(r, b - lo)]
+        part += params["b_out"]
         part -= part.max(axis=1, keepdims=True)
         np.exp(part, out=ex)
         part -= np.log(ex.sum(axis=1, keepdims=True))
         rows.write_target(ex, lo)
         # summed over the dense row, so in the reference's pairwise order
-        ex.sum(axis=1, keepdims=True, out=weight_rows[lo : lo + r])
+        weight = ex.sum(axis=1, keepdims=True)
         ex *= part  # target * log_probs: IEEE multiplication is commutative
         ex.sum(axis=1, out=nll_rows[lo : lo + r])
+        np.exp(part, out=part)
+        part *= weight
+        rows.write_target(ex, lo)
+        part -= ex
     np.negative(nll_rows, out=nll_rows)
     kl_rows = kl_gaussian(mu, logvar)
-    return (nll_rows + beta * kl_rows, nll_rows, kl_rows), (h1, mu, logvar, z, h2, weight_rows)
+    return (nll_rows + beta * kl_rows, nll_rows, kl_rows), (h1, mu, logvar, z, h2)
 
 
-def _backward(params, acts, rows, eps, beta, log_probs, grad, emit):
+def _backward(params, acts, rows, eps, beta, d_logits, grad, emit):
     """Hand each parameter's batch-summed gradient to ``emit(key, g)`` as it is made.
 
-    ``log_probs`` is exponentiated in place into the logit gradient; once
-    that has given ``w_out``'s gradient, ``b_out``'s and the decoder's
+    ``d_logits`` is the logit gradient ``_forward_loss`` left; once it has
+    given ``w_out``'s gradient, ``b_out``'s and the decoder's
     back-propagated rows, it is dead and takes the encoder's input again for
     ``w_enc``'s gradient.  ``grad`` (n * h floats) holds ``w_out``'s gradient
     and then ``w_enc``'s, so ``emit`` must be done with the first before the
@@ -185,14 +184,11 @@ def _backward(params, acts, rows, eps, beta, log_probs, grad, emit):
     dimension, and OpenBLAS rounds the columns at the edge of its register
     tiles with a kernel it picks from the product's size and thread split.
     """
-    h1, mu, logvar, z, h2, weight_rows = acts
-    n, h = log_probs.shape[1], h1.shape[1]
-    ex = np.exp(log_probs, out=log_probs)
-    ex *= weight_rows
-    rows.subtract_target(ex)
-    g_w_out = np.matmul(ex.T, h2, out=grad.reshape(n, h))
-    g_b_out = ex.sum(axis=0)
-    d_h2 = ex @ params["w_out"]
+    h1, mu, logvar, z, h2 = acts
+    n, h = d_logits.shape[1], h1.shape[1]
+    g_w_out = np.matmul(d_logits.T, h2, out=grad.reshape(n, h))
+    g_b_out = d_logits.sum(axis=0)
+    d_h2 = d_logits @ params["w_out"]
     emit("w_out", g_w_out)
     emit("b_out", g_b_out)
     d_a2 = d_h2 * (1.0 - h2**2)
@@ -207,8 +203,8 @@ def _backward(params, acts, rows, eps, beta, log_probs, grad, emit):
     g_b_logvar = d_logvar.sum(axis=0)
     d_h1 = d_mu @ params["w_mu"] + d_logvar @ params["w_logvar"]
     d_a1 = d_h1 * (1.0 - h1**2)
-    rows.write_input(log_probs)
-    g_w_enc = np.matmul(d_a1.T, log_probs, out=grad.reshape(h, n))
+    rows.write_input(d_logits)
+    g_w_enc = np.matmul(d_a1.T, d_logits, out=grad.reshape(h, n))
     g_b_enc = d_a1.sum(axis=0)
     for key, g in (
         ("w_enc", g_w_enc), ("b_enc", g_b_enc),
@@ -288,14 +284,15 @@ class MultiVaeRecommender(RecommenderModel):
         """SGD on batch-mean gradients over one batch x n buffer allocated once.
 
         ``logits`` takes the dropout draw, then the encoder's input, the
-        logits, the log-probabilities, the logit gradient and the encoder's
-        input again.  The target stays sparse in between (see
-        ``_SparseRows``).  The softmax runs a few rows at a time in a scratch
-        block of at most ``_BLOCK_ENTRIES`` floats (or one row), and one n x h
-        gradient serves ``w_out`` and then ``w_enc``.  Each step performs the
-        same floating-point operations in the same order as the allocating
-        step kept in ``tests/multivae_reference.py``, so parameters and loss
-        curve match it byte for byte.
+        logits, and the encoder's input again.  In between, a few rows at a
+        time, its rows turn from logits into log-probabilities and then into
+        the logit gradient, beside a scratch block of at most
+        ``_BLOCK_ENTRIES`` floats (or one row).  The target stays sparse
+        throughout (see ``_SparseRows``), and one n x h gradient serves
+        ``w_out`` and then ``w_enc``.  Each step performs the same
+        floating-point operations in the same order as the allocating step
+        kept in ``tests/multivae_reference.py``, so parameters and loss curve
+        match it byte for byte.
         """
         seq = np.random.SeedSequence(self.init_seed)
         init_rng, order_rng, noise_rng, drop_rng = map(np.random.default_rng, seq.spawn(4))

@@ -34,9 +34,6 @@ class _DenseRows:
     def write_input(self, out):
         np.copyto(out, self.fed)
 
-    def subtract_target(self, out):
-        out -= self.target
-
 
 def _batch_loss_and_grads(params, X_target, X_input, eps, beta):
     """Mean (total, nll, kl) over the batch and the mean gradient of every parameter."""

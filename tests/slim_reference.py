@@ -3,8 +3,9 @@
 This is the original per-column cyclic coordinate descent, with weights held
 non-negative.  The library's solver runs all columns at once over the sparsity
 pattern of the gram and must reproduce these weights byte for byte; the tests
-compare the two.  ``slim_objective`` is the objective the tests' descent and
-oracle checks evaluate.
+compare the two.  ``fit_sparse_column`` is the same descent over the gram's
+CSR rows, for catalogues whose dense gram would not fit.  ``slim_objective``
+is the objective the tests' descent and oracle checks evaluate.
 """
 
 import numpy as np
@@ -21,8 +22,30 @@ def fit_column(gram, col_norms, j, l1, l2, max_iters, tolerance, trace):
     ascending artist index; convergence is max absolute coordinate change per
     sweep below ``tolerance``.
     """
-    num_artists = gram.shape[0]
-    corr = gram[j]
+    return _descend(gram[j], lambda i: (slice(None), gram[i]), col_norms, j, l1, l2,
+                    max_iters, tolerance, trace)
+
+
+def fit_sparse_column(gram, col_norms, j, l1, l2, max_iters, tolerance):
+    """``fit_column`` with ``gram`` the CSR matrix A^T A; the same (indices, weights) bytes.
+
+    A move adds ``delta * G[i]`` only at row i's stored entries.  Elsewhere
+    the dense descent adds delta * 0 = +-0, which leaves ``partial`` as it
+    was: it starts at +0.0, and a sum is -0.0 only when both terms are.
+    """
+    def row(i):
+        span = slice(gram.indptr[i], gram.indptr[i + 1])
+        return gram.indices[span], gram.data[span]
+
+    corr = np.zeros(gram.shape[0])
+    at, values = row(j)
+    corr[at] = values
+    return _descend(corr, row, col_norms, j, l1, l2, max_iters, tolerance, None)
+
+
+def _descend(corr, row, col_norms, j, l1, l2, max_iters, tolerance, trace):
+    """Column j's descent from its gram row ``corr``; ``row(i)`` is (positions, values) of G[i]."""
+    num_artists = corr.shape[0]
     # zero co-occurrence coordinates have optimum 0 under non-negativity
     cand = np.flatnonzero(corr)
     cand = cand[(cand != j) & (col_norms[cand] > 0)]
@@ -37,7 +60,8 @@ def fit_column(gram, col_norms, j, l1, l2, max_iters, tolerance, trace):
             w_new = max(0.0, rho - l1) / (col_norms[i] + l2)
             delta = w_new - w[i]
             if delta != 0.0:
-                partial += delta * gram[i]
+                at, values = row(i)
+                partial[at] += delta * values
                 w[i] = w_new
                 if abs(delta) > max_delta:
                     max_delta = abs(delta)

@@ -570,6 +570,15 @@ class TestWriteLines:
         assert first.read_bytes() == b"earlier\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["first.txt"]
 
+    def test_an_ancestor_that_is_not_writable_is_named(self, tmp_path, monkeypatch):
+        # file permissions do not deny root, so the access check is what fails
+        monkeypatch.setattr("popbias.corpus.os.access", lambda path, mode: False)
+        out = tmp_path / "new" / "out"
+        with pytest.raises(ValidationError,
+                           match=f"^cannot write {out}: {tmp_path} is not writable$"):
+            corpus.check_writable_dir(out)
+        assert not (tmp_path / "new").exists()
+
     def test_an_unwritable_file_is_named(self, tmp_path):
         first, blocked = tmp_path / "first.txt", tmp_path / "blocked.txt"
         (tmp_path / "blocked.txt.tmp").mkdir()  # the temporary file cannot be opened

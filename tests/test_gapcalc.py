@@ -311,6 +311,18 @@ class TestOutput:
         assert "overall" in text
         assert "spotify" in text
 
+    def test_measure_without_cells_has_no_table_and_no_keys(self, tmp_path):
+        rows = []
+        for i, group in enumerate(["low", "medium", "high", "low"]):
+            rows.append(f"youtube,u{i},{group},profile-seed,P{i},,{(40 + i) / 100}")
+            rows.append(f"youtube,u{i},{group},recommended,R{i},,{(45 + i) / 100}")
+        report = gapcalc(read_simulated_records(records_path(tmp_path, rows)))
+        text = report.to_text()
+        assert "Corpus listener fraction" in text
+        assert "Service popularity score" not in text
+        keys = [line.split("=", 1)[0] for line in report.to_kv_lines()]
+        assert keys and not any(key.endswith(".spotify") for key in keys)
+
     def test_write_files(self, tmp_path):
         report = self.fixture_report(tmp_path)
         txt, kv = report.write(tmp_path / "out")

@@ -174,6 +174,10 @@ class TestGap:
         with pytest.raises(ValidationError):
             gap([[3]], self.pop([0.5]))
 
+    def test_empty_group_rejected(self):
+        with pytest.raises(ValidationError, match="^GAP undefined for an empty user group$"):
+            gap([], self.pop([0.5]))
+
 
 class TestDeltaGap:
     def test_triple(self):

@@ -14,7 +14,7 @@ from popbias.models import slim
 from popbias.models.slim import SlimRecommender
 
 from conftest import make_dataset, random_dataset
-from slim_reference import reference_weights, slim_objective
+from slim_reference import fit_column, fit_sparse_column, reference_weights, slim_objective
 
 TOY = make_dataset([
     [1, 2, 1],
@@ -112,6 +112,31 @@ class TestFit:
                 got = getattr(model.weights_, name)
                 assert got.dtype == getattr(want, name).dtype, name
                 assert got.tobytes() == getattr(want, name).tobytes(), (trial, name)
+
+    @pytest.mark.parametrize("binarize", [False, True])
+    def test_sparse_row_descent_matches_the_dense_one_byte_for_byte(self, binarize):
+        rng = np.random.default_rng([12, int(binarize)])
+        skipped = 0
+        for trial in range(8):
+            ds = random_dataset(rng, num_users=int(rng.integers(2, 14)),
+                                num_artists=int(rng.integers(2, 30)))
+            model = SlimRecommender(
+                l1_penalty=float(rng.choice([0.0, 0.01, 0.1, 1.0])),
+                l2_penalty=float(rng.choice([0.0, 0.05, 1.0])),
+                binarize=binarize, tolerance=float(rng.choice([1e-12, 1e-2])),
+                max_iters=int(rng.choice([1, 4, 500])),
+            )
+            mat = model._transform(ds)
+            gram = (mat.T @ mat).tocsr()
+            dense = gram.toarray()
+            skipped += dense.size - gram.nnz
+            hyper = (model.l1_penalty, model.l2_penalty, model.max_iters, model.tolerance)
+            for j in range(ds.num_artists):
+                want = fit_column(dense, gram.diagonal(), j, *hyper, None)
+                got = fit_sparse_column(gram, gram.diagonal(), j, *hyper)
+                for name, a, b in zip(("indices", "weights"), got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (trial, j, name)
+        assert skipped > 0  # the grams hold zeros, which only the dense descent adds to
 
     @pytest.mark.parametrize("binarize", [False, True])
     def test_pattern_is_the_off_diagonal_of_the_gram(self, binarize):
