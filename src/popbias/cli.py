@@ -115,7 +115,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    from .harness.experiment import _load_dataset, _stage, tune
+    from .harness.experiment import load_split, tune_model
 
     config = _load_config(args)
     tuned = [spec for spec in config.models if spec.grid is not None]
@@ -124,13 +124,10 @@ def _cmd_tune(args) -> int:
         return 0
     if args.out:
         check_writable_dir(args.out)
-    # staged as run_experiment stages them, so a failure names its stage
-    dataset = _stage("dataset", _load_dataset, config)
-    split = _stage("split", split_mask, dataset, **config.split)
+    _, split = load_split(config)
     results = {}
     for spec in tuned:
-        best, log = _stage(f"tune:{spec.name}", tune, spec.name, spec.grid, split.train,
-                           config.tune_seed, config.ap_k)
+        best, log = tune_model(spec, split.train, config)
         results[spec.name] = {"best": best, "log": log}
         print(f"{spec.name}\tbest: {json.dumps(best, sort_keys=True)}")
         for entry in log:

@@ -404,10 +404,7 @@ def evaluate_model(
             continue
         aucs = per_user_auc[idx]
         valid = aucs[~np.isnan(aucs)]
-        if valid.size:
-            auc_mean, auc_stderr = mean_with_stderr(valid)
-        else:
-            auc_mean, auc_stderr = math.nan, None
+        auc_mean, auc_stderr = mean_with_stderr(valid) if valid.size else (math.nan, None)
         gap_p = gap((profiles.profile(int(u)) for u in idx), phi)
         rec_sets = [tops[int(u)] for u in idx if len(tops[int(u)])]
         gap_r = gap(rec_sets, phi) if rec_sets else math.nan
@@ -496,11 +493,20 @@ def _stage(name, fn, *args, **kwargs):
         raise NumericalError(f"stage {name!r}: out of memory{detail}") from exc
 
 
-def _load_dataset(config: ExperimentConfig) -> InteractionDataset:
+def load_split(config: ExperimentConfig) -> tuple[InteractionDataset, SplitDataset]:
+    """The config's dataset and its split, run as the ``dataset`` and ``split`` stages."""
     source = config.dataset
     if "synthetic" in source:
-        return generate_synthetic(source["synthetic"], source["seed"])
-    return ingest_interactions(source["interactions"], source["groups"])
+        dataset = _stage("dataset", generate_synthetic, source["synthetic"], source["seed"])
+    else:
+        dataset = _stage("dataset", ingest_interactions, source["interactions"], source["groups"])
+    return dataset, _stage("split", split_mask, dataset, **config.split)
+
+
+def tune_model(spec: ModelSpec, train: InteractionDataset, config: ExperimentConfig):
+    """``tune`` of ``spec``'s grid on ``train``, run as its ``tune:<model>`` stage."""
+    return _stage(f"tune:{spec.name}", tune, spec.name, spec.grid, train,
+                  config.tune_seed, config.ap_k)
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
@@ -515,8 +521,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     """
     if out_dir is not None:
         check_writable_dir(out_dir)
-    dataset = _stage("dataset", _load_dataset, config)
-    split = _stage("split", split_mask, dataset, **config.split)
+    dataset, split = load_split(config)
     phi_all = _stage("popularity", compute_popularity, dataset)
     if config.popularity_scope == "train-only":
         phi_eval = _stage("popularity", compute_popularity, split.train)
@@ -533,10 +538,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     for position, spec in enumerate(config.models):
         default_seed = config.seed + 101 * (position + 1)
         if spec.grid is not None:
-            hyper, log = _stage(
-                f"tune:{spec.name}", tune, spec.name, spec.grid, split.train,
-                config.tune_seed, config.ap_k,
-            )
+            hyper, log = tune_model(spec, split.train, config)
             tuning_results[spec.name] = log
         else:
             hyper = spec.hyperparams

@@ -15,8 +15,8 @@ order with a rejected text or two blank measures raises its first error in
 column order, naming the file and its physical line.  Every (service, user)
 must keep one group label and have records in both roles.  ``gapcalc``
 groups each measure with one stable sort by (service, user, role) and takes
-each user and role's mean over its values in file order, one ``.mean(axis=1)``
-per slice length.
+each user and role's mean over its values in file order with
+``metrics.row_means``, the per-user mean of ``metrics.gap``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from ..corpus import GROUP_LABELS, ascii_float, read_lines, write_lines
 from ..errors import ParseError, PopBiasError, ValidationError
-from ..metrics import delta_gap
+from ..metrics import delta_gap, row_means
 
 ROLES = ("profile-seed", "recommended")
 EXPECTED_HEADER = [
@@ -310,25 +310,17 @@ class GapcalcReport:
                   "lfm": "Corpus listener fraction"}
         lines = ["Popularity lift of recommendations over profiles (delta GAP)", ""]
         for measure, _ in MEASURES:
-            cells_exist = any(m == measure for (_, _, m) in self.entries)
-            if not cells_exist:
+            if not any(m == measure for (_, _, m) in self.entries):
                 continue
             lines.append(titles[measure])
             head = f"{'group':<10}" + "".join(f"{s:>12}" for s in self.services)
             lines.append(head)
             lines.append("-" * len(head))
             for group in GAPCALC_GROUPS:
-                row = [f"{group:<10}"]
-                any_cell = False
-                for service in self.services:
-                    entry = self.entries.get((service, group, measure))
-                    if entry is None:
-                        row.append(f"{'--':>12}")
-                    else:
-                        any_cell = True
-                        row.append(f"{entry.delta_gap:>12.2f}")
-                if any_cell:
-                    lines.append("".join(row))
+                cells = [self.entries.get((service, group, measure)) for service in self.services]
+                if any(cells):
+                    lines.append(f"{group:<10}" + "".join(
+                        f"{'--':>12}" if e is None else f"{e.delta_gap:>12.2f}" for e in cells))
             lines.append("")
         lines.append("Details (per service / group / measure)")
         detail_head = (
@@ -369,16 +361,8 @@ def gapcalc(records: SimulatedRecords) -> GapcalcReport:
         order = np.argsort(key, kind="stable")  # file order inside each (service, user, role)
         key, values = key[order], values[present[order]]
         starts = np.flatnonzero(np.diff(key, prepend=-1))
-        lengths = np.diff(starts, append=len(key))
-        # The slices of one length are the rows of one C-contiguous array, and
-        # .mean(axis=1) sums each row as np.mean sums a slice, so the means are
-        # np.mean's bytes; np.add.reduceat sums in another order, so its differ.
-        slice_means = np.empty(len(starts))
-        for length in np.unique(lengths).tolist():
-            at = np.flatnonzero(lengths == length)
-            slice_means[at] = values[starts[at, None] + np.arange(length)].mean(axis=1)
         means = np.full((len(first), len(ROLES)), np.nan)
-        means.flat[key[starts]] = slice_means
+        means.flat[key[starts]] = row_means(values, np.diff(starts, append=len(key)))
         qualifying = ~np.isnan(means).any(axis=1)  # a present value in each role
         for s, service in enumerate(records.services):
             in_service = qualifying & (pair_service == s)

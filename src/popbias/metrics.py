@@ -94,17 +94,31 @@ def gap(profiles, phi: np.ndarray) -> float:
     profile inputs (GAP over what users listen to) and recommendation outputs
     (GAP over what they are recommended).
     """
-    user_means = []
-    for prof in profiles:
-        arr = np.asarray(prof, dtype=np.int64)
-        if arr.size == 0:
-            raise ValidationError("GAP undefined for an empty user artist set")
-        if arr.max() >= len(phi) or arr.min() < 0:
-            raise ValidationError("artist index outside the popularity table")
-        user_means.append(float(phi[arr].mean()))
-    if not user_means:
+    rows = [np.asarray(prof) for prof in profiles]  # no dtype: an int32 CSR row stays a view
+    if not rows:
         raise ValidationError("GAP undefined for an empty user group")
-    return float(np.mean(user_means))
+    lengths = np.array([row.size for row in rows])
+    flat = np.concatenate(rows)
+    outside = np.flatnonzero((flat < 0) | (flat >= len(phi)))
+    first_outside = np.cumsum(lengths).searchsorted(outside[:1], "right").min(initial=len(rows))
+    if not lengths[:first_outside].all():  # the first faulty user raises
+        raise ValidationError("GAP undefined for an empty user artist set")
+    if len(outside):
+        raise ValidationError("artist index outside the popularity table")
+    return float(np.mean(row_means(phi[flat], lengths)))
+
+
+def row_means(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The mean of each run of ``lengths[i]`` (>= 1) consecutive ``values``, as np.mean takes it."""
+    starts = np.cumsum(lengths)
+    starts -= lengths  # in place: one array of run starts, not two
+    means = np.empty(len(lengths))
+    for length in np.unique(lengths).tolist():
+        # the runs of one length are the rows of one C-contiguous array, whose .mean(axis=1)
+        # sums each row as np.mean sums it alone; np.add.reduceat sums in another order
+        at = np.flatnonzero(lengths == length)
+        means[at] = values[starts[at, None] + np.arange(length)].mean(axis=1)
+    return means
 
 
 def delta_gap(gap_p: float, gap_r: float) -> float:

@@ -108,8 +108,7 @@ class _SparseRows:
         return np.repeat(self.value[rows], self.count[rows])
 
     def write_target(self, out: np.ndarray, first: int = 0) -> None:
-        """Overwrite ``out`` (r x n) with target rows ``first .. first + r``."""
-        out.fill(0.0)
+        """Write target rows ``first .. first + r`` into ``out`` (r x n) at their non-zeros only."""
         flat = out.reshape(-1)
         for entries, rows in self._spans(first, first + len(out)):
             flat[self.nz[entries] - first * self._n] = self._values(rows)
@@ -134,9 +133,10 @@ def _forward_loss(params, rows, eps, beta, logits, scratch):
     overwrites it.  The rest runs a row block at a time: ``+ b_out``, the
     log-softmax, the target's terms, then the block's logit gradient
     ``exp(log_probs) * sum(target) - target``.  ``scratch`` (r x n) holds a
-    block's exponentials and then its target rows, twice, so nothing else
-    batch x n is allocated.  A row's sums do not depend on the rows summed
-    beside it.
+    block's exponentials, then its target rows written into zeros; after ``*=
+    log_probs`` the rest hold +-0, so only the target is written back for the
+    subtract (``exp(log_probs) * sum(target)`` is never -0.0).  Nothing else
+    batch x n is allocated; a row's sums do not depend on the rows beside it.
     """
     rows.write_input(logits)
     h1 = np.tanh(logits @ params["w_enc"].T + params["b_enc"])
@@ -153,6 +153,7 @@ def _forward_loss(params, rows, eps, beta, logits, scratch):
         part -= part.max(axis=1, keepdims=True)
         np.exp(part, out=ex)
         part -= np.log(ex.sum(axis=1, keepdims=True))
+        ex.fill(0.0)
         rows.write_target(ex, lo)
         # summed over the dense row, so in the reference's pairwise order
         weight = ex.sum(axis=1, keepdims=True)

@@ -10,6 +10,7 @@ from popbias.metrics import (
     delta_gap,
     gap,
     mean_with_stderr,
+    row_means,
 )
 
 
@@ -40,6 +41,28 @@ def brute_force_ap_at_k(ordering, positives, k):
 
 def ranked(ordering, positives):
     return RankedCandidates(np.asarray(ordering), np.asarray(positives))
+
+
+def per_user_gap(profiles, phi):
+    """Oracle: GAP as one ``np.mean`` per user, then the mean of those means."""
+    user_means = []
+    for prof in profiles:
+        arr = np.asarray(prof, dtype=np.int64)
+        if arr.size == 0:
+            raise ValidationError("GAP undefined for an empty user artist set")
+        if arr.max() >= len(phi) or arr.min() < 0:
+            raise ValidationError("artist index outside the popularity table")
+        user_means.append(float(phi[arr].mean()))
+    if not user_means:
+        raise ValidationError("GAP undefined for an empty user group")
+    return float(np.mean(user_means))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return str(exc)
 
 
 class TestAuc:
@@ -177,6 +200,51 @@ class TestGap:
     def test_empty_group_rejected(self):
         with pytest.raises(ValidationError, match="^GAP undefined for an empty user group$"):
             gap([], self.pop([0.5]))
+
+    def test_matches_the_per_user_loop_byte_for_byte(self):
+        # real-width profiles reach 1,070 artists
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            phi = rng.uniform(0, 1, 1500) * 10.0 ** rng.integers(-3, 1, 1500)
+            lengths = rng.integers(1, 1201, int(rng.integers(1, 30)))
+            profiles = [rng.integers(0, len(phi), n) for n in lengths]
+            expected = per_user_gap(profiles, phi)
+            assert np.float64(gap(profiles, phi)).tobytes() == np.float64(expected).tobytes()
+            assert gap(iter(p.tolist() for p in profiles), phi) == expected
+            assert gap([p.astype(np.int32) for p in profiles], phi) == expected
+
+    def test_first_faulty_user_raises_as_the_per_user_loop_does(self):
+        rng = np.random.default_rng(12)
+        phi = rng.uniform(0, 1, 20)
+        for _ in range(300):
+            profiles = [rng.integers(0, 20, int(rng.integers(0, 4)))
+                        for _ in range(int(rng.integers(1, 6)))]
+            for prof in profiles:
+                if prof.size and rng.random() < 0.2:
+                    prof[rng.integers(prof.size)] = rng.choice([-1, 20, 10**6])
+            assert outcome(gap, profiles, phi) == outcome(per_user_gap, profiles, phi)
+
+    def test_out_of_range_user_before_an_empty_one(self):
+        with pytest.raises(ValidationError, match="^artist index outside the popularity table$"):
+            gap([[0], [1, 5], [], [2]], self.pop([0.1, 0.2, 0.3]))
+        with pytest.raises(ValidationError, match="^GAP undefined for an empty user artist set$"):
+            gap([[0], [], [1, 5], [2]], self.pop([0.1, 0.2, 0.3]))
+
+
+class TestRowMeans:
+    def test_every_length_to_1200_matches_np_mean_byte_for_byte(self):
+        # each length once, in shuffled order, past NumPy's 128-value pairwise block
+        rng = np.random.default_rng(13)
+        lengths = rng.permutation(np.arange(1, 1201))
+        values = rng.uniform(0, 1, int(lengths.sum())) * 10.0 ** rng.integers(-6, 3, int(lengths.sum()))
+        ends = np.cumsum(lengths)
+        expected = np.array([np.mean(values[end - n : end]) for n, end in zip(lengths, ends)])
+        assert row_means(values, lengths).tobytes() == expected.tobytes()
+
+    def test_repeated_lengths_keep_their_places(self):
+        values = np.array([1.0, 2.0, 3.0, 10.0, 20.0, 5.0, 7.0, 9.0, 100.0])
+        assert row_means(values, np.array([2, 1, 1, 1, 3, 1])).tolist() == [
+            1.5, 3.0, 10.0, 20.0, 7.0, 100.0]
 
 
 class TestDeltaGap:
